@@ -20,9 +20,6 @@ accel      accelerator lab: compare offload classes, sweep design knobs
 cache      inspect / clear / gc the persistent simulation cache
 runs       list / prune the durable sweep run journals
 resume     continue an interrupted journaled sweep
-serve      run the sweep-service HTTP front end
-submit     submit a sweep to a running service
-jobs       list / show / cancel / stream service jobs
 work       drain one journaled run as a claim-based worker
 ========== ====================================================
 """
@@ -692,174 +689,9 @@ def cmd_resume(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    from repro.engine.cache import active_cache, use_cache_dir
-    from repro.service.server import serve
-
-    if args.cache_dir is not None:
-        use_cache_dir(args.cache_dir)
-    cache = active_cache()
-    if not cache.enabled:
-        raise ReproError(
-            "the sweep service journals through the persistent cache "
-            "(REPRO_CACHE=off disables it)"
-        )
-    token = args.token
-    if token is None:
-        import os as _os
-
-        from repro.service.remote import ENV_TOKEN
-
-        token = _os.environ.get(ENV_TOKEN) or None
-    print(
-        f"# sweep service on http://{args.host}:{args.port} "
-        f"(cache {cache.root}, {args.workers} workers/job, "
-        f"queue<={args.max_queue}, quota {args.tenant_quota}/tenant, "
-        f"auth {'on' if token else 'off'})"
-    )
-    serve(
-        cache.root,
-        host=args.host,
-        port=args.port,
-        verbose=args.verbose,
-        token=token,
-        max_queue=args.max_queue,
-        tenant_quota=args.tenant_quota,
-        workers=args.workers,
-        lease_seconds=args.lease,
-    )
-    return 0
-
-
-def cmd_submit(args) -> int:
-    from repro.engine.serialize import config_to_dict
-    from repro.service.client import ServiceClient
-
-    config = power5().with_fxus(args.fxus)
-    if args.btac:
-        config = config.with_btac()
-    variants = args.variants.split(",") if args.variants else ["baseline"]
-    points = [
-        {"app": app, "variant": variant, "config": config_to_dict(config)}
-        for app in args.apps.split(",")
-        for variant in variants
-    ]
-    client = ServiceClient(args.url)
-    job = client.submit(points, tenant=args.tenant, workers=args.workers)
-    print(
-        f"# job {job['job_id']} {job['state']} "
-        f"({len(points)} points, tenant {job['tenant']})"
-    )
-    if not args.wait:
-        return 0
-    final = client.wait(job["job_id"], timeout=args.timeout)
-    print(f"# job {final['job_id']} {final['state']}")
-    for row in client.results(job["job_id"]):
-        print(_porcelain_row(
-            row["app"],
-            row["variant"],
-            row["config_digest"][:12],
-            row["result_digest"][:12],
-        ))
-    return 0 if final["state"] == "complete" else 1
-
-
-def cmd_jobs(args) -> int:
-    from repro.service.client import ServiceClient
-
-    client = ServiceClient(args.url)
-    if args.action in ("show", "cancel", "results") and not args.job_id:
-        raise ReproError(f"jobs {args.action}: give a job id")
-
-    if args.action == "stats":
-        stats = client.stats()
-        table = Table(f"Sweep service ({args.url})", ["Field", "Value"])
-        for key in ("queue_depth", "queue_peak", "admitted",
-                    "rejected_queue", "rejected_quota", "completed",
-                    "failed", "cancelled", "interrupted"):
-            table.add_row(key, stats.get(key, 0))
-        print(table.render())
-        for tenant, record in sorted(stats.get("tenants", {}).items()):
-            print(
-                f"# tenant {tenant}: "
-                f"admitted={record.get('admitted', 0)} "
-                f"rejected={record.get('rejected', 0)} "
-                f"completed={record.get('completed', 0)}"
-            )
-        return 0
-    if args.action == "cancel":
-        job = client.cancel(args.job_id)
-        print(f"# job {job['job_id']} {job['state']}")
-        return 0
-    if args.action == "show":
-        job = client.job(args.job_id)
-        progress = job.get("progress", {})
-        print(
-            f"# job {job['job_id']} {job['state']} "
-            f"tenant={job['tenant']} points={job['points']} "
-            f"done={progress.get('done', 0)} "
-            f"failed={progress.get('failed', 0)} "
-            f"workers={','.join(progress.get('workers', [])) or '-'}"
-        )
-        return 0
-    if args.action == "results":
-        for row in client.results(args.job_id, wait=args.wait):
-            print(_porcelain_row(
-                row["app"],
-                row["variant"],
-                row["config_digest"],
-                row["result_digest"],
-            ))
-        return 0
-    jobs = client.jobs()
-    if args.porcelain:
-        for job in jobs:
-            print(_porcelain_row(
-                job["job_id"], job["state"], job["tenant"],
-                job["points"], job["workers"],
-            ))
-        return 0
-    if not jobs:
-        print(f"# no jobs at {args.url}")
-        return 0
-    table = Table(
-        f"Sweep service jobs ({args.url})",
-        ["Job", "State", "Tenant", "Points", "Workers"],
-    )
-    for job in jobs:
-        table.add_row(
-            job["job_id"], job["state"], job["tenant"],
-            job["points"], job["workers"],
-        )
-    print(table.render())
-    return 0
-
-
 def cmd_work(args) -> int:
     from repro.engine.cache import active_cache, use_cache_dir
-    from repro.service.worker import drain_run, drain_run_remote
-
-    if args.url:
-        # Networked worker: claims over the job API, cache entries over
-        # the HTTP transport, resilience layer absorbing the network.
-        report = drain_run_remote(
-            args.url,
-            args.run_id,
-            cache_root=args.cache_dir,
-            worker_id=args.worker_id,
-            lease_seconds=args.lease,
-            max_points=args.max_points,
-            token=args.token,
-        )
-        stats = report.stats
-        print(
-            f"# worker {report.worker_id} drained run {report.run_id} "
-            f"via {args.url}: {len(report.completed)} completed, "
-            f"{len(report.failed)} failed (claims={stats.claims}, "
-            f"heartbeats={stats.heartbeats}, "
-            f"lost_leases={stats.lost_leases})"
-        )
-        return 1 if report.failed else 0
+    from repro.service.worker import drain_run
 
     if args.cache_dir is not None:
         use_cache_dir(args.cache_dir)
@@ -1111,78 +943,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="suppress the engine telemetry table")
     p_resume.set_defaults(func=cmd_resume)
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the sweep-service HTTP front end (submit / status / "
-             "cancel / stream over local JSON)",
-    )
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=8642)
-    p_serve.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="cache directory (default: REPRO_CACHE_DIR "
-                              "or ~/.cache/repro-power5)")
-    p_serve.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="drain workers per job (default: 2)")
-    p_serve.add_argument("--max-queue", type=int, default=8, metavar="N",
-                         help="bounded run queue depth (default: 8)")
-    p_serve.add_argument("--tenant-quota", type=int, default=4,
-                         metavar="N",
-                         help="max queued+running jobs per tenant "
-                              "(default: 4)")
-    p_serve.add_argument("--lease", type=float, default=30.0,
-                         metavar="SECONDS",
-                         help="point lease duration (default: 30)")
-    p_serve.add_argument("--token", default=None, metavar="SECRET",
-                         help="require 'Authorization: Bearer SECRET' on "
-                              "every route except /v1/ping (default: "
-                              "REPRO_SERVICE_TOKEN if set)")
-    p_serve.add_argument("--verbose", action="store_true",
-                         help="log every request")
-    p_serve.set_defaults(func=cmd_serve)
-
-    p_submit = sub.add_parser(
-        "submit", help="submit a sweep to a running service",
-    )
-    p_submit.add_argument("apps", metavar="APP1,APP2,...",
-                          help="comma-separated applications")
-    p_submit.add_argument("--variants", default=None,
-                          metavar="V1,V2,...",
-                          help="comma-separated variants "
-                               "(default: baseline)")
-    p_submit.add_argument("--fxus", type=int, default=2)
-    p_submit.add_argument("--btac", action="store_true")
-    p_submit.add_argument("--tenant", default="default")
-    p_submit.add_argument("--workers", type=int, default=None,
-                          metavar="N",
-                          help="drain workers for this job "
-                               "(default: the service's setting)")
-    p_submit.add_argument("--url", default="http://127.0.0.1:8642")
-    p_submit.add_argument("--wait", action="store_true",
-                          help="block until the job finishes, then print "
-                               "its per-point digests")
-    p_submit.add_argument("--timeout", type=float, default=600.0,
-                          metavar="SECONDS",
-                          help="--wait only: give up after this long")
-    p_submit.set_defaults(func=cmd_submit)
-
-    p_jobs = sub.add_parser(
-        "jobs",
-        help="list / show / cancel / stream sweep-service jobs",
-    )
-    p_jobs.add_argument("action", nargs="?",
-                        choices=["list", "show", "cancel", "results",
-                                 "stats"],
-                        default="list")
-    p_jobs.add_argument("job_id", nargs="?", default=None)
-    p_jobs.add_argument("--url", default="http://127.0.0.1:8642")
-    p_jobs.add_argument("--wait", action="store_true",
-                        help="results only: follow the stream until the "
-                             "job finishes")
-    p_jobs.add_argument("--porcelain", action="store_true",
-                        help="list only: tab-separated job, state, "
-                             "tenant, points, workers")
-    p_jobs.set_defaults(func=cmd_jobs)
-
     p_work = sub.add_parser(
         "work",
         help="drain one journaled run as a claim-based worker "
@@ -1200,15 +960,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument("--max-points", type=int, default=None,
                         metavar="N",
                         help="stop after taking N points")
-    p_work.add_argument("--url", default=None, metavar="URL",
-                        help="attach over the network to a 'repro serve' "
-                             "instance instead of a shared directory "
-                             "(claims via the job API, cache entries via "
-                             "HTTP; --cache-dir becomes this worker's "
-                             "local scratch cache)")
-    p_work.add_argument("--token", default=None, metavar="SECRET",
-                        help="bearer token for --url (default: "
-                             "REPRO_SERVICE_TOKEN if set)")
     p_work.set_defaults(func=cmd_work)
     return parser
 

@@ -477,16 +477,3 @@ def use_cache_dir(root: Path | str | None) -> PersistentCache:
     global _active_cache
     _active_cache = PersistentCache(root)
     return _active_cache
-
-
-def use_cache(cache: PersistentCache) -> PersistentCache:
-    """Install a specific cache instance process-wide.
-
-    The service layer's :class:`~repro.service.remote.SharedCache` is a
-    ``PersistentCache`` subclass; workers that should read through a
-    remote tier install their instance here so the perf-layer trace
-    store (which persists via :func:`active_cache`) sees it too.
-    """
-    global _active_cache
-    _active_cache = cache
-    return _active_cache

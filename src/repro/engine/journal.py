@@ -35,7 +35,9 @@ file so several worker processes can drain one run concurrently:
 * ``point_released`` — a voluntary give-back (the worker hit an error
   and wants the point immediately reclaimable);
 * ``worker_stats`` — one worker's claim/steal/heartbeat counters,
-  appended when it finishes draining.
+  appended when it finishes draining (read back as an open set of
+  integer counters, so journals from older workers that journaled
+  more counters still load).
 
 Claim arbitration is **file order**: appends to an ``O_APPEND`` file
 serialize, so every reader replays the records in the same order and

@@ -121,34 +121,6 @@ class EngineStats:
     stream_handoffs: int = 0
     #: Largest single in-flight segment (packed column bytes).
     stream_peak_segment_bytes: int = 0
-    #: Sweep service (``repro.service``): confirmed lease claims this
-    #: worker/aggregation won.
-    claims: int = 0
-    #: Claim bids that lost the file-order race to another worker.
-    claim_conflicts: int = 0
-    #: Claims that took over another worker's expired lease
-    #: (crash-recovery steals).
-    claim_steals: int = 0
-    #: Lease renewals appended while points simulated.
-    heartbeats: int = 0
-    #: Completions suppressed because ownership was lost mid-compute.
-    lost_leases: int = 0
-    #: Network resilience (``repro.service.resilience``, schema 7):
-    #: remote calls that were retried after a transient failure.
-    net_retries: int = 0
-    #: Times a circuit breaker tripped open.
-    breaker_trips: int = 0
-    #: Total wall time any breaker spent away from ``closed``
-    #: (local-only degraded operation).
-    degraded_seconds: float = 0.0
-    #: Shared-cache remote tier traffic.
-    remote_hits: int = 0
-    remote_misses: int = 0
-    remote_pushes: int = 0
-    #: Pushes still parked for a dead remote when stats were read.
-    queued_pushes: int = 0
-    #: Parked pushes that replicated after the circuit recovered.
-    drained_pushes: int = 0
     #: Accelerator offload (``repro.accel``, schema 8): estimates served
     #: (disk, simulated, or journal-replayed — memo hits excluded, same
     #: as core points).
@@ -196,19 +168,6 @@ class EngineStats:
         self.stream_peak_segment_bytes = max(
             self.stream_peak_segment_bytes, other.stream_peak_segment_bytes
         )
-        self.claims += other.claims
-        self.claim_conflicts += other.claim_conflicts
-        self.claim_steals += other.claim_steals
-        self.heartbeats += other.heartbeats
-        self.lost_leases += other.lost_leases
-        self.net_retries += other.net_retries
-        self.breaker_trips += other.breaker_trips
-        self.degraded_seconds += other.degraded_seconds
-        self.remote_hits += other.remote_hits
-        self.remote_misses += other.remote_misses
-        self.remote_pushes += other.remote_pushes
-        self.queued_pushes += other.queued_pushes
-        self.drained_pushes += other.drained_pushes
         self.accel_points += other.accel_points
         self.accel_batched += other.accel_batched
         self.accel_bioseal_points += other.accel_bioseal_points
@@ -252,15 +211,6 @@ class EngineStats:
         """Points simulated inside batched groups (vectorized + fallback)."""
         return sum(self.batch_sizes)
 
-    def merge_service(self, service: dict) -> None:
-        """Fold a worker's journaled ``worker_stats`` counters into this."""
-        self.claims += service.get("claims", 0)
-        self.claim_conflicts += service.get("claim_conflicts", 0)
-        self.claim_steals += service.get("claim_steals", 0)
-        self.heartbeats += service.get("heartbeats", 0)
-        self.lost_leases += service.get("lost_leases", 0)
-        self.merge_resilience(service)
-
     def merge_accel(self, counters: dict) -> None:
         """Fold a journaled ``accel_stats`` payload into this.
 
@@ -275,24 +225,9 @@ class EngineStats:
         self.accel_offload_cycles += counters.get("offload_cycles", 0)
         self.accel_transfer_cycles += counters.get("transfer_cycles", 0)
 
-    def merge_resilience(self, counters: dict) -> None:
-        """Fold a resilience counter payload (networked workers journal
-        one, with ``degraded_ms`` as an integer) into this."""
-        self.net_retries += counters.get("net_retries", 0)
-        self.breaker_trips += counters.get("breaker_trips", 0)
-        if "degraded_ms" in counters:
-            self.degraded_seconds += counters["degraded_ms"] / 1000.0
-        else:
-            self.degraded_seconds += counters.get("degraded_seconds", 0.0)
-        self.remote_hits += counters.get("remote_hits", 0)
-        self.remote_misses += counters.get("remote_misses", 0)
-        self.remote_pushes += counters.get("remote_pushes", 0)
-        self.queued_pushes += counters.get("queued_pushes", 0)
-        self.drained_pushes += counters.get("drained_pushes", 0)
-
     def to_dict(self) -> dict:
         return {
-            "schema": 8,
+            "schema": 9,
             "jobs": self.jobs,
             "points": [point.to_dict() for point in self.points],
             "failures": [failure.to_dict() for failure in self.failures],
@@ -318,13 +253,6 @@ class EngineStats:
                 "handoffs": self.stream_handoffs,
                 "peak_segment_bytes": self.stream_peak_segment_bytes,
             },
-            "service": {
-                "claims": self.claims,
-                "claim_conflicts": self.claim_conflicts,
-                "claim_steals": self.claim_steals,
-                "heartbeats": self.heartbeats,
-                "lost_leases": self.lost_leases,
-            },
             "accel": {
                 "points": self.accel_points,
                 "batched": self.accel_batched,
@@ -332,16 +260,6 @@ class EngineStats:
                 "aphmm_points": self.accel_aphmm_points,
                 "offload_cycles": self.accel_offload_cycles,
                 "transfer_cycles": self.accel_transfer_cycles,
-            },
-            "resilience": {
-                "net_retries": self.net_retries,
-                "breaker_trips": self.breaker_trips,
-                "degraded_seconds": self.degraded_seconds,
-                "remote_hits": self.remote_hits,
-                "remote_misses": self.remote_misses,
-                "remote_pushes": self.remote_pushes,
-                "queued_pushes": self.queued_pushes,
-                "drained_pushes": self.drained_pushes,
             },
             "totals": {
                 "points": len(self.points),
@@ -423,38 +341,6 @@ class EngineStats:
                 self.accel_transfer_cycles,
             )
             blocks.append(accel.render())
-        if self.claims or self.claim_conflicts or self.claim_steals:
-            service = Table(
-                "Sweep service",
-                ["Claims", "Conflicts", "Steals", "Heartbeats",
-                 "Lost leases"],
-            )
-            service.add_row(
-                self.claims,
-                self.claim_conflicts,
-                self.claim_steals,
-                self.heartbeats,
-                self.lost_leases,
-            )
-            blocks.append(service.render())
-        if (self.net_retries or self.breaker_trips or self.remote_hits
-                or self.remote_pushes or self.queued_pushes
-                or self.drained_pushes):
-            resilience = Table(
-                "Resilience",
-                ["Retries", "Breaker trips", "Degraded (s)",
-                 "Remote hits", "Remote pushes", "Queued", "Drained"],
-            )
-            resilience.add_row(
-                self.net_retries,
-                self.breaker_trips,
-                f"{self.degraded_seconds:.2f}",
-                self.remote_hits,
-                self.remote_pushes,
-                self.queued_pushes,
-                self.drained_pushes,
-            )
-            blocks.append(resilience.render())
         if self.notes:
             blocks.append(
                 "\n".join(f"note: {message}" for message in self.notes)

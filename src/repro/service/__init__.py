@@ -1,26 +1,18 @@
-"""Sweep service: multi-worker run draining and the async job API.
+"""Sweep service: several worker processes draining one journaled run.
 
-This package turns the single-process sweep engine into a small
-service stack, composing primitives the engine already has — the
-content-addressed :class:`~repro.engine.cache.PersistentCache`, the
-durable run journal, and the fault-tolerant scheduler — rather than
-inventing parallel ones:
+The engine's durable run journal doubles as a work queue and the
+content-addressed :class:`~repro.engine.cache.PersistentCache` as the
+place results meet, so every worker points at one shared cache
+directory and no broker or server process is involved:
 
 * :mod:`repro.service.claims` — journal-based work claiming: lease
   records with heartbeat renewal and expiry-based reclaim, so several
   worker processes drain one run concurrently and crash-safely;
 * :mod:`repro.service.worker` — the drain loop one worker runs
   (claim, heartbeat, simulate, journal);
-* :mod:`repro.service.runner` — create/execute/collect for
-  multi-worker runs (byte-identical to a serial sweep);
-* :mod:`repro.service.remote` — a read-through/write-behind shared
-  cache tier over a pluggable transport;
-* :mod:`repro.service.jobs` — the async job manager: bounded queue,
-  per-tenant quotas, cancel, lifecycle;
-* :mod:`repro.service.server` / :mod:`repro.service.client` — the
-  local HTTP/JSON front end (``repro serve``) and its CLI client.
+* :mod:`repro.service.runner` — create a claim-only run and collect
+  its results (byte-identical to a serial sweep).
 
-Everything here is stdlib-only and import-safe with the service
-disabled: importing the package starts no threads, binds no sockets.
-See ``docs/service.md`` for the claim protocol and API surface.
+Everything here is stdlib-only and import-safe: importing the package
+starts no threads. See ``docs/service.md`` for the claim protocol.
 """

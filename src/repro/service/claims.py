@@ -170,16 +170,6 @@ class ClaimClient:
         finally:
             self.journal.close()
 
-    def close(self) -> None:
-        """Close the append handle without journaling counters.
-
-        The HTTP front end speaks the protocol one request at a time —
-        a per-request client must not emit a ``worker_stats`` record on
-        every round trip (the worker journals its totals once, through
-        the ``finish`` endpoint).
-        """
-        self.journal.close()
-
     def __enter__(self) -> "ClaimClient":
         return self
 

@@ -1,10 +1,9 @@
-"""Multi-worker run orchestration: create, execute, collect.
+"""Claim-only runs: create one, collect its results.
 
-The runner is what turns "a journaled point list" into "N worker
-processes draining it": :func:`create_run` writes the journal header
-(the durable admission record — a run exists the moment its points are
-journaled, whoever ends up draining it), :func:`execute_run` forks the
-workers and writes the completion footer once nothing is pending, and
+:func:`create_run` writes the journal header (the durable admission
+record — a run exists the moment its points are journaled, whoever
+ends up draining it); any number of :func:`~repro.service.worker.drain_run`
+workers sharing the cache directory then drain it, and
 :func:`collect_results` re-reads the journal plus the content-addressed
 cache into the same ordered result list a serial
 :meth:`Engine.characterize_many` call would return — re-verifying every
@@ -14,22 +13,13 @@ payload digest against the journal on the way, so a multi-worker run is
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import signal
 from pathlib import Path
 
 from repro.engine import serialize
 from repro.engine.cache import PersistentCache
 from repro.engine.digest import result_payload_digest
-from repro.engine.journal import (
-    RunJournal,
-    RunState,
-    config_digest_of,
-    load_run,
-)
-from repro.errors import SweepInterrupted, WorkloadError
-from repro.service.claims import DEFAULT_LEASE_SECONDS
+from repro.engine.journal import RunJournal, config_digest_of, load_run
+from repro.errors import WorkloadError
 
 
 def create_run(
@@ -48,86 +38,6 @@ def create_run(
                                 run_id=run_id)
     journal.close()
     return journal.run_id
-
-
-def _drain_entry(
-    cache_root: str,
-    run_id: str,
-    worker_id: str,
-    lease_seconds: float,
-) -> None:
-    """Worker-process entry point (module-level: picklable, forkable)."""
-    from repro.service.worker import drain_run
-
-    # Workers must die on SIGTERM so a cancelled job reclaims them;
-    # never inherit a parent's graceful handler.
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    drain_run(
-        cache_root, run_id,
-        worker_id=worker_id, lease_seconds=lease_seconds,
-    )
-
-
-def execute_run(
-    cache_root: Path | str,
-    run_id: str,
-    workers: int = 2,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    interruptible: bool = False,
-) -> RunState:
-    """Drain a journaled run with ``workers`` processes; final state.
-
-    Forks one process per worker (fork keeps the worker cheap and the
-    entry picklable-free), waits for all of them, and appends the
-    ``run_complete`` footer iff nothing is pending. With
-    ``interruptible`` a SIGTERM tears the workers down and exits with
-    :attr:`SweepInterrupted.EXIT_STATUS` — the journal keeps every
-    completed point, so the run resumes exactly like an interrupted
-    sweep (this is the job manager's cancel path).
-    """
-    if workers < 1:
-        raise WorkloadError(f"need at least one worker, got {workers}")
-    context = multiprocessing.get_context("fork")
-    processes = [
-        context.Process(
-            target=_drain_entry,
-            args=(str(cache_root), run_id, f"worker-{index + 1}",
-                  lease_seconds),
-            name=f"repro-worker-{index + 1}",
-        )
-        for index in range(workers)
-    ]
-    if interruptible:
-        def _stop(signum, frame):
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            # The journal already holds every completed point; exit
-            # with the resumable status, exactly like a sweep SIGTERM.
-            os._exit(SweepInterrupted.EXIT_STATUS)
-        signal.signal(signal.SIGTERM, _stop)
-    for process in processes:
-        process.start()
-    for process in processes:
-        process.join()
-    state = load_run(cache_root, run_id)
-    if not state.pending_keys() and not state.complete:
-        with RunJournal.attach(cache_root, run_id) as journal:
-            journal.record_complete(len(state.failed))
-        state = load_run(cache_root, run_id)
-    return state
-
-
-def run_job(
-    cache_root: Path | str,
-    points,
-    workers: int = 2,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    run_id: str | None = None,
-) -> RunState:
-    """Create a run and drain it with ``workers`` processes."""
-    run_id = create_run(cache_root, points, workers, run_id=run_id)
-    return execute_run(cache_root, run_id, workers, lease_seconds)
 
 
 def collect_results(cache_root: Path | str, run_id: str):

@@ -47,15 +47,6 @@ class WorkerReport:
     failed: list = field(default_factory=list)
     stats: ClaimStats = field(default_factory=ClaimStats)
 
-    def as_dict(self) -> dict:
-        return {
-            "worker_id": self.worker_id,
-            "run_id": self.run_id,
-            "completed": len(self.completed),
-            "failed": len(self.failed),
-            **self.stats.as_dict(),
-        }
-
 
 def default_worker_id() -> str:
     return f"worker-{os.getpid()}"
@@ -193,214 +184,4 @@ def drain_run(
                 report.completed.append(claimed)
     finally:
         client.finish()
-        _fold_into_engine_stats(engine.stats, client.stats)
     return report
-
-
-def _fold_into_engine_stats(stats, claim_stats: ClaimStats) -> None:
-    """Merge claim counters into engine telemetry (best-effort: the
-    fields exist from telemetry schema 6 on)."""
-    try:
-        stats.claims += claim_stats.claims
-        stats.claim_conflicts += claim_stats.claim_conflicts
-        stats.claim_steals += claim_stats.claim_steals
-        stats.heartbeats += claim_stats.heartbeats
-        stats.lost_leases += claim_stats.lost_leases
-    except AttributeError:
-        pass
-
-
-def _remote_heartbeat_loop(
-    client,
-    run_id: str,
-    worker_id: str,
-    key: dict,
-    lease_seconds: float,
-    stop: threading.Event,
-    interval: float,
-    stats: ClaimStats,
-) -> None:
-    """Renew a networked lease until told to stop.
-
-    Unlike the local loop (where an error means the journal is closed
-    and the drain is over), a networked heartbeat failure is usually a
-    transient partition — the lease may still be live, so the loop
-    keeps trying until the point is finished. A genuinely lost lease is
-    caught by the server's ownership re-check on ``done``.
-    """
-    while not stop.wait(interval):
-        try:
-            client.heartbeat(run_id, worker_id, key, lease_seconds)
-            stats.heartbeats += 1
-        except Exception:
-            continue
-
-
-def drain_run_remote(
-    url: str,
-    run_id: str,
-    *,
-    cache_root: Path | str | None = None,
-    worker_id: str | None = None,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    heartbeat_seconds: float | None = None,
-    poll_seconds: float = DEFAULT_POLL_SECONDS,
-    max_points: int | None = None,
-    token: str | None = None,
-    client=None,
-    transport=None,
-) -> WorkerReport:
-    """Drain a run over the network: claims via the service's job API,
-    cache entries via the HTTP transport.
-
-    The worker owns a *local* scratch cache at ``cache_root`` (a fresh
-    temp directory if omitted) layered as a :class:`SharedCache` over
-    the service's ``/v1/cache/`` endpoints: traces fetched on demand,
-    results pushed back. All remote traffic rides the resilience layer,
-    so a flaky network degrades the worker to local-only simulation
-    instead of failing it; a point's result payload is synchronously
-    replicated (waiting out an open circuit) *before* ``point_done`` is
-    journaled, so a digest the journal records is always loadable from
-    the service's cache. ``client`` and ``transport`` are injectable
-    for the chaos harness.
-    """
-    from repro.engine.cache import use_cache
-    from repro.engine.engine import Engine
-    from repro.service.client import ServiceClient
-    from repro.service.remote import HttpTransport, SharedCache
-
-    worker_id = worker_id or default_worker_id()
-    if lease_seconds <= 0:
-        raise WorkloadError(
-            f"lease must be positive, got {lease_seconds}"
-        )
-    if heartbeat_seconds is None:
-        heartbeat_seconds = max(lease_seconds / 3.0, 0.05)
-    if cache_root is None:
-        import tempfile
-
-        cache_root = tempfile.mkdtemp(prefix="repro-net-worker-")
-
-    if client is None:
-        client = ServiceClient(url, token=token)
-    if transport is None:
-        transport = HttpTransport(url, token=token)
-    shared = SharedCache(cache_root, transport)
-    use_cache(shared)
-    engine = Engine()
-    stats = ClaimStats()
-    report = WorkerReport(
-        worker_id=worker_id, run_id=run_id, stats=stats
-    )
-    try:
-        while True:
-            taken = len(report.completed) + len(report.failed)
-            if max_points is not None and taken >= max_points:
-                break
-            bid = client.claim(run_id, worker_id, lease_seconds)
-            claimed = bid.get("claimed")
-            if claimed is None:
-                if not bid.get("pending"):
-                    break
-                time.sleep(poll_seconds)
-                continue
-            stats.claims += 1
-            app = claimed["app"]
-            variant = claimed["variant"]
-            key = {
-                "app": app,
-                "variant": variant,
-                "config_digest": claimed["config_digest"],
-            }
-            key_tuple = (app, variant, claimed["config_digest"])
-            _maybe_hold(key_tuple)
-            config = serialize.config_from_dict(claimed["config"])
-            stop = threading.Event()
-            beat = threading.Thread(
-                target=_remote_heartbeat_loop,
-                args=(client, run_id, worker_id, key, lease_seconds,
-                      stop, heartbeat_seconds, stats),
-                name=f"repro-net-heartbeat-{worker_id}",
-                daemon=True,
-            )
-            beat.start()
-            try:
-                result = engine.characterize(app, variant, config)
-                payload = serialize.characterisation_to_dict(result)
-                digest = result_payload_digest(payload)
-                result_path = shared.result_path(
-                    app, variant, claimed["config_digest"]
-                )
-                if not result_path.exists():
-                    raise WorkloadError(
-                        f"result for {app}:{variant} was not committed "
-                        "to the local cache"
-                    )
-                # The journal must never name a digest the service
-                # cannot serve: replicate before recording done.
-                shared.replicate_now(result_path)
-            except Exception as error:
-                stop.set()
-                beat.join()
-                try:
-                    client.failed(
-                        run_id, worker_id, key, "error",
-                        type(error).__name__, str(error),
-                    )
-                    client.release(run_id, worker_id, key)
-                except Exception:
-                    pass  # lease expiry hands the point to the next bidder
-                report.failed.append(key_tuple)
-                continue
-            stop.set()
-            beat.join()
-            if client.done(run_id, worker_id, key, digest):
-                report.completed.append(key_tuple)
-            else:
-                stats.lost_leases += 1
-    finally:
-        shared.close()
-        _fold_into_engine_stats(engine.stats, stats)
-        _fold_resilience(engine.stats, shared, client)
-        try:
-            client.finish_worker(
-                run_id, worker_id, _finish_stats(stats, shared, client)
-            )
-        except Exception:
-            pass  # the run still seals via any later worker's finish
-    return report
-
-
-def _finish_stats(stats: ClaimStats, shared, client) -> dict:
-    """The (integer) counters a networked worker journals on finish."""
-    resilience = shared.resilience()
-    return {
-        **stats.as_dict(),
-        "net_retries": int(
-            resilience["retries"] + client.retry.stats.retries
-        ),
-        "breaker_trips": int(resilience["breaker_trips"]),
-        "degraded_ms": int(resilience["degraded_seconds"] * 1000),
-        "remote_hits": int(resilience["remote_hits"]),
-        "remote_misses": int(resilience["remote_misses"]),
-        "remote_pushes": int(resilience["remote_pushes"]),
-        "drained_pushes": int(resilience["drained_pushes"]),
-    }
-
-
-def _fold_resilience(stats, shared, client) -> None:
-    """Merge remote-tier counters into engine telemetry (schema 7)."""
-    resilience = shared.resilience()
-    try:
-        stats.net_retries += (
-            resilience["retries"] + client.retry.stats.retries
-        )
-        stats.breaker_trips += resilience["breaker_trips"]
-        stats.degraded_seconds += resilience["degraded_seconds"]
-        stats.remote_hits += resilience["remote_hits"]
-        stats.remote_misses += resilience["remote_misses"]
-        stats.remote_pushes += resilience["remote_pushes"]
-        stats.queued_pushes += resilience["queued_pushes"]
-        stats.drained_pushes += resilience["drained_pushes"]
-    except AttributeError:
-        pass

@@ -1,4 +1,4 @@
-"""Telemetry schema 8 and journal compatibility for accel counters."""
+"""Telemetry accel block (schema 8 on) and journal compatibility."""
 
 from repro.accel import bioseal
 from repro.engine import cache as cache_module
@@ -17,9 +17,9 @@ def stats_with(**overrides) -> EngineStats:
 
 
 class TestSchema:
-    def test_schema_is_8_with_an_accel_block(self):
+    def test_schema_has_an_accel_block(self):
         payload = EngineStats().to_dict()
-        assert payload["schema"] == 8
+        assert payload["schema"] == 9
         assert payload["accel"] == {
             "points": 0, "batched": 0, "bioseal_points": 0,
             "aphmm_points": 0, "offload_cycles": 0, "transfer_cycles": 0,

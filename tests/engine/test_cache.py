@@ -1,5 +1,6 @@
 """Persistent cache: round-trips, invalidation, corruption, self-healing."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -248,6 +249,51 @@ class TestMaintenance:
         removed = cache.clear()
         assert removed == 1
         assert late.exists()
+
+
+class TestTempNames:
+    """Two containers can share a PID; the per-process random token in
+    ``tmp_suffix()`` keeps their in-flight temp files from colliding
+    when they write through one shared cache directory."""
+
+    @staticmethod
+    def store_both(cache):
+        cache.store_result_payload(
+            "fasta", "baseline", config_digest(power5()), {"x": 1}
+        )
+        cache.store_trace_segments(
+            "blast", "baseline", generate_trace(400, seed=11).segments(150)
+        )
+
+    def test_temp_names_carry_process_random_token(
+        self, cache, monkeypatch
+    ):
+        suffix = cache_module.tmp_suffix()
+        assert f"-{os.getpid()}-" in suffix
+        token = suffix.rsplit("-", 1)[-1]
+        assert len(token) == 8  # 4 random bytes, hex
+        int(token, 16)  # and actually hex
+
+        sources = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            sources.append(str(src))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        self.store_both(cache)
+        assert len(sources) == 2
+        assert all(suffix in name for name in sources)
+
+    def test_no_temp_litter_after_writes(self, cache):
+        self.store_both(cache)
+        assert not [
+            path for path in cache.root.rglob("*")
+            if cache_module._is_tmp(path)
+        ]
+        assert cache.load_trace("blast", "baseline") is not None
+        assert cache.stats()["result_entries"] == 1
 
 
 class TestSelfHealing:

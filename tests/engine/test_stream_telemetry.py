@@ -20,7 +20,7 @@ def _points(fxus=(2, 3)):
 class TestEngineStatsStreamBlock:
     def test_schema_has_stream_block(self):
         payload = EngineStats().to_dict()
-        assert payload["schema"] == 8  # 7 added stream, 8 added accel
+        assert payload["schema"] == 9  # 8 added accel, 9 dropped service
         assert payload["stream"] == {
             "streams": 0,
             "segments_produced": 0,

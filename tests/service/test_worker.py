@@ -1,5 +1,5 @@
-"""Multi-worker drains: deterministic splits, fork fan-out, and the
-kill-mid-claim crash path.
+"""Multi-worker drains: deterministic splits, concurrent worker
+processes, and the kill-mid-claim crash path.
 
 The acceptance bar for the sweep service: two workers draining one
 journaled run produce results byte-identical (as canonical JSON, in
@@ -23,12 +23,7 @@ from repro.engine.cache import use_cache_dir
 from repro.engine.digest import point_key
 from repro.engine.engine import Engine
 from repro.engine.journal import journal_path, load_run
-from repro.service.runner import (
-    collect_results,
-    create_run,
-    execute_run,
-    run_job,
-)
+from repro.service.runner import collect_results, create_run
 from repro.service.worker import drain_run
 from repro.uarch.config import power5
 
@@ -106,27 +101,58 @@ class TestDeterministicSplit:
         assert len(keys) == len(set(KEYS))
 
 
-class TestForkedWorkers:
-    def test_run_job_two_processes(self, tmp_path):
+DRAIN_WORKER_SCRIPT = """
+import sys
+from repro.service.worker import drain_run
+drain_run(sys.argv[1], sys.argv[2], worker_id=sys.argv[3])
+"""
+
+
+class TestConcurrentWorkers:
+    def test_two_processes_merge_byte_identical(self, tmp_path):
         reference = serial_reference(tmp_path / "serial")
         shared = tmp_path / "shared"
-        state = run_job(shared, POINTS, workers=2)
-        assert state.complete
+        run_id = create_run(shared, POINTS, workers=2)
+
+        src = os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(serialize.__file__)
+        )))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        # Both start before either waits: they race for the same leases.
+        workers = [
+            subprocess.Popen(
+                [sys.executable, "-c", DRAIN_WORKER_SCRIPT,
+                 str(shared), run_id, worker_id],
+                env=env,
+            )
+            for worker_id in ("alpha", "beta")
+        ]
+        try:
+            for worker in workers:
+                assert worker.wait(timeout=600) == 0
+        finally:
+            for worker in workers:
+                if worker.poll() is None:
+                    worker.kill()
+                    worker.wait(timeout=30)
+
+        state = load_run(shared, run_id)
+        assert not state.pending_keys()
         assert not state.failed
-        # Both forked workers journaled their drain counters.
-        assert set(state.workers) == {"worker-1", "worker-2"}
+        assert set(state.workers) == {"alpha", "beta"}
+        done = journal_records(shared, run_id, "point_done")
+        keys = [
+            (r["app"], r["variant"], r["config_digest"]) for r in done
+        ]
+        assert sorted(keys) == sorted(set(KEYS))
         merged = [
             canonical(serialize.characterisation_to_dict(result))
-            for result in collect_results(shared, state.run_id)
+            for result in collect_results(shared, run_id)
         ]
         assert merged == reference
-
-    def test_execute_run_seals_footer_once_drained(self, tmp_path):
-        shared = tmp_path / "shared"
-        run_id = create_run(shared, POINTS, workers=1)
-        state = execute_run(shared, run_id, workers=1)
-        assert state.complete
-        assert state.status == "complete"
 
 
 HELD_WORKER_SCRIPT = """

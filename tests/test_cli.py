@@ -345,6 +345,103 @@ class TestResumeCommand:
         assert "no journal" in capsys.readouterr().err
 
 
+class TestNetworkedWorkerJournal:
+    """Journals written by the former networked workers (``repro work
+    --url``) still load, list and resume: their ``worker_stats`` record
+    carries resilience counters that no current writer emits."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_global_cache(self):
+        from repro.engine import cache as cache_module
+
+        original = cache_module._active_cache
+        yield
+        cache_module._active_cache = original
+
+    def test_old_journal_lists_and_resumes(self, tmp_path, capsys):
+        import json
+
+        from repro.engine import serialize
+        from repro.engine.cache import use_cache_dir
+        from repro.engine.digest import (
+            config_digest,
+            result_payload_digest,
+            sim_source_digest,
+            sweep_digest,
+        )
+        from repro.engine.engine import Engine
+        from repro.engine.journal import journal_path, load_run
+        from repro.uarch.config import power5
+
+        root = tmp_path / "cache"
+        use_cache_dir(root)
+        config = power5()
+        result = Engine(cache_dir=root).characterize(
+            "fasta", "baseline", config
+        )
+        key = {
+            "app": "fasta",
+            "variant": "baseline",
+            "config_digest": config_digest(config),
+        }
+        created = 1_700_000_000.0
+        records = [
+            {
+                "record": "run_start", "schema": 1, "run_id": "net-run",
+                "created": created, "jobs": 2,
+                "source_digest": sim_source_digest(),
+                "sweep_digest": sweep_digest(
+                    [("fasta", "baseline", key["config_digest"])]
+                ),
+                "points": [
+                    {**key, "config": serialize.config_to_dict(config)}
+                ],
+            },
+            {"record": "point_claimed", **key, "worker": "net-a",
+             "time": created + 1.0, "expires": created + 31.0},
+            {"record": "point_heartbeat", **key, "worker": "net-a",
+             "time": created + 11.0, "expires": created + 41.0},
+            {"record": "point_done", **key,
+             "result_digest": result_payload_digest(
+                 serialize.characterisation_to_dict(result)
+             )},
+            {"record": "worker_stats", "run_id": "net-run",
+             "worker": "net-a", "claims": 1, "claim_conflicts": 0,
+             "claim_steals": 0, "heartbeats": 1, "released": 0,
+             "lost_leases": 0, "net_retries": 3, "breaker_trips": 1,
+             "degraded_ms": 1250, "remote_hits": 2, "remote_misses": 1,
+             "remote_pushes": 1, "drained_pushes": 1},
+        ]
+        path = journal_path(root, "net-run")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "".join(json.dumps(record) + "\n" for record in records),
+            encoding="utf-8",
+        )
+
+        state = load_run(root, "net-run")
+        assert state.corrupt is None
+        assert state.workers["net-a"]["degraded_ms"] == 1250
+
+        assert main(
+            ["runs", "--cache-dir", str(root), "--porcelain"]
+        ) == 0
+        rows = {
+            line.split("\t")[0]: line.split("\t")
+            for line in capsys.readouterr().out.splitlines()
+        }
+        assert rows["net-run"][1] == "resumable"
+        assert rows["net-run"][8] == "1"  # Workers
+
+        assert main(
+            ["resume", "net-run", "--cache-dir", str(root),
+             "--no-telemetry"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "1 replayed" in out
+        assert "0 re-submitted" in out
+
+
 class TestWorkCommand:
     @pytest.fixture(autouse=True)
     def _restore_global_cache(self):
