@@ -200,19 +200,26 @@ def _prewarm_traces(tasks, engine) -> None:
 
     Runs in the parent before the pool is created, so forked workers
     inherit the warm in-memory decode instead of each re-inflating the
-    same tracestore blob. Failures are swallowed: an unknown app or
-    variant must surface later as that *point's* failure, not abort the
-    sweep during warming.
+    same tracestore blob. Only points that will simulate count: a point
+    whose result is already on disk is served from the cache, so a group
+    of nothing but such points is not decoded. Failures are swallowed:
+    an unknown app or variant must surface later as that *point's*
+    failure, not abort the sweep during warming.
     """
     from repro.accel.config import AccelConfig
     from repro.perf.characterize import background_trace, kernel_trace
 
+    cache = engine.cache
     for (app, variant), group in group_by_trace(tasks).items():
         # Accelerator points never replay a workload trace — warming
         # one for them would pay the decode for nothing.
         group = [
             task for task in group
             if not isinstance(task.point[2], AccelConfig)
+            and not (
+                cache.enabled
+                and cache.result_path(app, variant, task.key[2]).exists()
+            )
         ]
         if not group:
             continue

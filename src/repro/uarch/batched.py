@@ -20,24 +20,40 @@ identical across the points of a sweep. The model factorizes cleanly:
 ``simulate_batched`` exploits this: design points are partitioned into
 *frontend groups*; each group runs **one** shared frontend pass that
 emits a per-event action byte, then replays the cheap timing recurrence
-once per config over numpy-backed state stacked along the config axis
-(a ``(N, 34)`` register scoreboard, ``(N, 6)`` stall counters, per-unit
-issue-usage lanes). The replay is a branch-free-enough integer kernel;
-when a C toolchain is available it is compiled once per process
-(``cc -O2 -shared``) and driven through :mod:`ctypes`, which is where
-the batch speedup comes from — a straight numpy formulation pays one
-interpreter dispatch per event *per config* and measures slower than
-the scalar loop at realistic batch sizes. ``REPRO_NATIVE=off`` forces
-the pure-Python replay (same results, used by CI to pin equality).
+once per config (a 34-slot register scoreboard, six stall counters,
+per-unit issue-usage lanes). Both halves run in one C translation unit,
+compiled once per host (content-addressed by source hash) and driven
+through :mod:`ctypes`:
+
+* the **frontend walk** (inlined gshare, LRU L1D, score-replaced BTAC)
+  carries its state in numpy arrays between calls, so a segmented
+  stream walks exactly like one monolithic trace;
+* the **timing replay** reads the int32 per-event static id plus one
+  packed row per static instruction, and the uint8 action stream.
+
+That is where the speedup comes from: the frontend costs a few
+nanoseconds per event instead of a Python-level walk, and the replay
+streams five bytes per event and config instead of sixty-four. A
+straight numpy formulation pays one interpreter dispatch per event *per
+config* and measures slower than the scalar loop at realistic batch
+sizes.
+
+The Python frontend walk and the Python replay stay as exact
+equivalents, used only where the kernel cannot give the identical
+answer or cannot run: predictor kinds other than gshare (the walk; the
+replay stays native), a segment with an event whose byte address would
+overflow int64 (the walk moves to Python, state and all, from that
+segment on), geometry that does not fit int64, ``REPRO_NATIVE=off``,
+and hosts with no C compiler (both halves).
 
 Fallback rules (per config, never per batch): traces whose static
 tables the packed meta encoding cannot represent, object-form event
 lists, and singleton frontend groups all take the existing scalar
 ``Core.simulate`` path. Results are byte-identical either way — the
-golden-equality suite asserts it across predictor kinds, FXU counts
-and BTAC sizes.
+golden-equality suite asserts it across predictor kinds, FXU counts,
+BTAC and cache geometries, under the native kernel and without it.
 
-The per-event action byte (uint8 semantics, carried as int64):
+The per-event action byte (uint8):
 
 ====  =======================================================
 bits  meaning
@@ -55,6 +71,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import os
+import secrets
 import shutil
 import subprocess
 import tempfile
@@ -68,7 +85,7 @@ from repro.guards import guards_enabled
 from repro.isa.instructions import UNIT_INDEX, Unit
 from repro.isa.trace import F_BRANCH, F_COND, F_LOAD, F_TAKEN, Trace
 from repro.uarch.branch_predictor import GsharePredictor
-from repro.uarch.btac import Btac, BtacStats
+from repro.uarch.btac import Btac, BtacEntry, BtacStats
 from repro.uarch.cache import WORD_BYTES, CacheStats, L1DCache
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import (
@@ -95,6 +112,28 @@ _A_LOAD_MISS = 16
 
 #: int64 slots per config in the packed replay parameter block.
 _PARAM_STRIDE = 12
+#: int64 slots per packed static row: s1, s2, s3, unit, occupancy,
+#: latency, dst, padding.
+_ROW = 8
+
+#: Frontend counters a :class:`_Frontend` carries as fields.
+_COUNTERS = (
+    "branches", "conditional_branches", "taken_branches",
+    "direction_mispredictions", "target_mispredictions", "taken_bubbles",
+    "loads", "stores", "load_misses", "cache_accesses", "cache_misses",
+)
+#: BTAC counters, in :class:`~repro.uarch.btac.BtacStats` field order.
+_BTAC_COUNTERS = (
+    "btac_lookups", "btac_hits", "btac_predictions", "btac_correct",
+    "btac_incorrect", "btac_allocations",
+)
+#: The native walk's carried state slots, in the order of the kernel's
+#: ``S_*`` enum: the block cursor, then every counter.
+_FRONTEND_SLOTS = (
+    ("history", "block_start", "started", "base", "btac_used")
+    + _COUNTERS + _BTAC_COUNTERS
+)
+_BASE_SLOT = _FRONTEND_SLOTS.index("base")
 
 
 def frontend_key(config: CoreConfig) -> tuple:
@@ -131,6 +170,8 @@ class BatchOutcome:
     batched: list[bool]
     #: Whether the native replay kernel ran (vs the Python replay).
     native: bool
+    #: Whether a frontend pass ran in the native kernel (vs Python).
+    native_frontend: bool = False
 
     @property
     def vectorized(self) -> int:
@@ -148,49 +189,70 @@ class BatchOutcome:
 
 @dataclass
 class _StaticMeta:
-    """Per-event meta columns (the columnar loop's tuples, as arrays)."""
+    """The replay's view of a trace: static ids plus packed rows."""
 
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    unit: np.ndarray
-    occ: np.ndarray
-    lat: np.ndarray
-    dst: np.ndarray
+    sid: np.ndarray  # int32 (C int), one static id per event
+    rows: np.ndarray  # (statics, _ROW) int64
     fxu_ops: int
     n: int
 
 
 def _static_meta(trace: Trace) -> _StaticMeta | None:
-    """Resolve the trace's static table per event, or None to fall back."""
+    """Pack the trace's static table, or None to fall back."""
     static = trace.static
     if not columnar_supported(static):
         return None
     start, stop = trace._bounds()
-    sid = np.frombuffer(trace.sid, dtype=np.intc)[start:stop].astype(
-        np.int64
-    )
     # Same padding scheme as the columnar loop's meta tuples: sources
     # pad to three with the dummy always-zero slot 32, "no destination"
     # becomes the dummy sink slot 33.
-    s1_t, s2_t, s3_t, dst_t = [], [], [], []
-    for srcs, dst in zip(static.srcs, static.dsts):
-        s1_t.append(srcs[0] if len(srcs) > 0 else 32)
-        s2_t.append(srcs[1] if len(srcs) > 1 else 32)
-        s3_t.append(srcs[2] if len(srcs) > 2 else 32)
-        dst_t.append(dst if dst >= 0 else 33)
-    take = lambda table: np.asarray(table, dtype=np.int64)[sid]  # noqa: E731
-    unit = take(static.units)
+    rows = np.array(
+        [
+            (*(srcs + (32, 32, 32))[:3], unit, occupancy, latency,
+             dst if dst >= 0 else 33, 0)
+            for srcs, unit, occupancy, latency, dst in zip(
+                static.srcs, static.units, static.occupancies,
+                static.latencies, static.dsts,
+            )
+        ],
+        dtype=np.int64,
+    ).reshape(-1, _ROW)
+    sid = np.frombuffer(trace.sid, dtype=np.intc)[start:stop]
+    fxu = rows[:, 3] == _FXU
     return _StaticMeta(
-        s1=take(s1_t),
-        s2=take(s2_t),
-        s3=take(s3_t),
-        unit=unit,
-        occ=take(static.occupancies),
-        lat=take(static.latencies),
-        dst=take(dst_t),
-        fxu_ops=int(np.count_nonzero(unit == _FXU)),
+        sid=sid,
+        rows=rows,
+        fxu_ops=int(np.count_nonzero(fxu[sid])),
         n=int(stop - start),
+    )
+
+
+def _concat_meta(metas: list[_StaticMeta]) -> _StaticMeta:
+    """Join per-segment metas into one replay-ready block.
+
+    Segments may bring different static tables; their rows are merged
+    into one table and each segment's ids remapped into it (a no-op,
+    skipped, for segments sharing the table built so far).
+    """
+    if len(metas) == 1:
+        return metas[0]
+    table: dict[tuple, int] = {}
+    sids = []
+    for meta in metas:
+        remap = np.array(
+            [table.setdefault(tuple(row), len(table))
+             for row in meta.rows.tolist()],
+            dtype=np.intc,
+        )
+        if np.array_equal(remap, np.arange(len(remap))):
+            sids.append(meta.sid)
+        else:
+            sids.append(remap[meta.sid])
+    return _StaticMeta(
+        sid=np.concatenate(sids),
+        rows=np.array(list(table), dtype=np.int64).reshape(-1, _ROW),
+        fxu_ops=sum(m.fxu_ops for m in metas),
+        n=sum(m.n for m in metas),
     )
 
 
@@ -203,7 +265,7 @@ def _static_meta(trace: Trace) -> _StaticMeta | None:
 class _Frontend:
     """Everything one frontend pass produces for a config group."""
 
-    action: np.ndarray  # int64, one entry per event
+    action: np.ndarray  # uint8, one entry per event
     branches: int
     conditional_branches: int
     taken_branches: int
@@ -219,19 +281,50 @@ class _Frontend:
     btac: tuple[int, int, int, int, int, int] | None
     iv_branches: list[int]
     iv_mispredicts: list[int]
+    native: bool
+
+
+def _seal(
+    counts: dict,
+    actions: list[np.ndarray],
+    has_btac: bool,
+    intervals: list,
+    n_intervals: int,
+    native: bool,
+) -> _Frontend:
+    """Seal a finished walk into the replay's :class:`_Frontend` form.
+
+    ``n_intervals`` is computed by the caller once the total event
+    count is known; lazily-grown interval tallies are truncated (a
+    trailing partial interval is dropped, as monolithically) or
+    zero-padded (intervals with no branches were never touched).
+    """
+    pad = [0] * n_intervals
+    return _Frontend(
+        action=actions[0] if len(actions) == 1 else np.concatenate(actions),
+        **{name: counts[name] for name in _COUNTERS},
+        btac=(
+            tuple(counts[name] for name in _BTAC_COUNTERS)
+            if has_btac else None
+        ),
+        iv_branches=(list(intervals[0]) + pad)[:n_intervals],
+        iv_mispredicts=(list(intervals[1]) + pad)[:n_intervals],
+        native=native,
+    )
 
 
 class _FrontendPass:
-    """Carried-state frontend walk: ``feed`` segments, then ``finish``.
+    """Carried-state frontend walk in Python: ``feed`` segments, then
+    ``finish``.
 
-    The streaming form of the shared frontend pass: predictor, BTAC,
-    L1D, the fall-through block start and every counter persist across
-    ``feed`` calls, so feeding a segmented trace produces the identical
-    action stream and counts as one monolithic walk — the monolithic
-    :func:`_frontend_pass` is now just a single-feed wrapper. Interval
-    attribution uses *global* event positions (``self.base``), with the
-    per-interval lists grown lazily because the total event count — and
-    hence the interval count — is unknown until the stream ends.
+    The reference form of the shared frontend pass, and the one that
+    serves every predictor kind: predictor, BTAC, L1D, the fall-through
+    block start and every counter persist across ``feed`` calls, so
+    feeding a segmented trace produces the identical action stream and
+    counts as one monolithic walk. Interval attribution uses *global*
+    event positions (``self.base``), with the per-interval lists grown
+    lazily because the total event count — and hence the interval
+    count — is unknown until the stream ends.
     """
 
     def __init__(self, config: CoreConfig, segment: int) -> None:
@@ -440,7 +533,7 @@ class _FrontendPass:
             if act:
                 act_list[i] = act
 
-        self.actions.append(np.asarray(act_list, dtype=np.int64))
+        self.actions.append(np.asarray(act_list, dtype=np.uint8))
         self.base = base + (stop - start)
         self.block_start = block_start
         self.bp_history = bp_history
@@ -463,45 +556,159 @@ class _FrontendPass:
         self.load_misses = load_misses
 
     def finish(self, n_intervals: int) -> _Frontend:
-        """Seal the stream into the replay's :class:`_Frontend` form.
-
-        ``n_intervals`` is computed by the caller once the total event
-        count is known; lazily-grown interval tallies are truncated (a
-        trailing partial interval is dropped, as monolithically) or
-        zero-padded (intervals with no branches were never touched).
-        """
-        iv_branches = self.iv_branches[:n_intervals]
-        iv_mispredicts = self.iv_mispredicts[:n_intervals]
-        while len(iv_branches) < n_intervals:
-            iv_branches.append(0)
-            iv_mispredicts.append(0)
-        if len(self.actions) == 1:
-            action = self.actions[0]
-        else:
-            action = np.concatenate(self.actions)
-        return _Frontend(
-            action=action,
-            branches=self.branches,
-            conditional_branches=self.conditional_branches,
-            taken_branches=self.taken_branches,
-            direction_mispredictions=self.direction_mispredictions,
-            target_mispredictions=self.target_mispredictions,
-            taken_bubbles=self.taken_bubbles,
-            loads=self.loads,
-            stores=self.stores,
-            load_misses=self.load_misses,
-            cache_accesses=self.cache_accesses,
-            cache_misses=self.cache_misses,
-            btac=(
-                (self.btac_lookups, self.btac_hits, self.btac_predictions,
-                 self.btac_correct, self.btac_incorrect,
-                 self.btac.stats.allocations)
-                if self.btac is not None
-                else None
-            ),
-            iv_branches=iv_branches,
-            iv_mispredicts=iv_mispredicts,
+        """Seal the stream into the replay's :class:`_Frontend` form."""
+        counts = {
+            name: getattr(self, name)
+            for name in _COUNTERS + _BTAC_COUNTERS[:-1]
+        }
+        counts["btac_allocations"] = (
+            self.btac.stats.allocations if self.btac is not None else 0
         )
+        return _seal(
+            counts, self.actions, self.btac is not None,
+            [self.iv_branches, self.iv_mispredicts], n_intervals,
+            native=False,
+        )
+
+
+class _NativeFrontendPass:
+    """The same carried-state walk, run by the native kernel.
+
+    State lives in numpy arrays between ``feed`` calls: the gshare
+    counters, the L1D lines of every set (least-recently-used first,
+    with a per-set fill count), the BTAC ``(tag, nia, score)`` rows, and
+    the block cursor and counters in ``state`` (see
+    :data:`_FRONTEND_SLOTS`). The kernel refuses a segment holding an
+    event whose byte address would overflow int64 before it touches
+    any state; the walk then continues, from that segment on, in a
+    :class:`_FrontendPass` carrying this pass's state exactly.
+    """
+
+    def __init__(
+        self, lib, config: CoreConfig, segment: int, geometry: np.ndarray
+    ) -> None:
+        self.lib = lib
+        self.config = config
+        self.segment = segment  # interval chunk; 0 = no intervals
+        self.geometry = geometry
+        cache = config.cache
+        self.table = np.ones(1 << config.predictor.table_bits, dtype=np.uint8)
+        self.lines = np.zeros((cache.sets, cache.ways), dtype=np.int64)
+        self.fill = np.zeros(cache.sets, dtype=np.int64)
+        entries = config.btac.entries if config.btac else 0
+        self.btac = np.zeros((entries, 3), dtype=np.int64)
+        self.state = np.zeros(len(_FRONTEND_SLOTS), dtype=np.int64)
+        #: Rows: branches, mispredicts per interval (grown on demand).
+        self.intervals = np.zeros((2, 0), dtype=np.int64)
+        self.actions: list[np.ndarray] = []
+        self.python: _FrontendPass | None = None
+
+    def feed(self, trace: Trace) -> None:
+        """Walk one segment in the kernel, appending its actions."""
+        if self.python is not None:
+            self.python.feed(trace)
+            return
+        start, stop = trace._bounds()
+        n = stop - start
+        if n == 0:
+            return
+        flags = np.frombuffer(trace.flags, dtype=np.uint8)[start:stop]
+        pc, next_pc, address = (
+            np.frombuffer(column, dtype=np.int64)[start:stop]
+            for column in (trace.pc, trace.next_pc, trace.address)
+        )
+        if self.segment:
+            need = (int(self.state[_BASE_SLOT]) + n - 1) // self.segment + 1
+            if need > self.intervals.shape[1]:
+                grown = np.zeros(
+                    (2, max(need, 2 * self.intervals.shape[1])),
+                    dtype=np.int64,
+                )
+                grown[:, : self.intervals.shape[1]] = self.intervals
+                self.intervals = grown
+        action = np.zeros(n, dtype=np.uint8)
+        refused = self.lib.repro_frontend_walk(
+            n, _ptr(flags), _ptr(pc), _ptr(next_pc), _ptr(address),
+            _ptr(self.geometry), _ptr(self.table), _ptr(self.lines),
+            _ptr(self.fill), _ptr(self.btac), _ptr(self.state),
+            _ptr(self.intervals), self.intervals.shape[1], _ptr(action),
+        )
+        if refused:
+            self.python = self._to_python()
+            self.python.feed(trace)
+        else:
+            self.actions.append(action)
+
+    def _to_python(self) -> _FrontendPass:
+        """A Python walk carrying this pass's state exactly."""
+        walker = _FrontendPass(self.config, self.segment)
+        slots = dict(zip(_FRONTEND_SLOTS, self.state.tolist()))
+        walker.bp_table[:] = self.table.tolist()
+        walker.bp_history = slots["history"]
+        for ways, lines, fill in zip(
+            walker.cache._sets, self.lines.tolist(), self.fill.tolist()
+        ):
+            ways.extend(lines[:fill])
+        if walker.btac is not None:
+            rows = self.btac[: slots["btac_used"]].tolist()
+            for slot, (tag, nia, score) in enumerate(rows):
+                walker.btac._entries.append(BtacEntry(tag, nia, score))
+                walker.btac._slot_of[tag] = slot
+            walker.btac.stats.allocations = slots["btac_allocations"]
+        for name in _COUNTERS + _BTAC_COUNTERS[:-1]:
+            setattr(walker, name, slots[name])
+        walker.block_start = slots["block_start"] if slots["started"] else None
+        walker.base = slots["base"]
+        walker.iv_branches, walker.iv_mispredicts = self.intervals.tolist()
+        walker.actions = self.actions
+        return walker
+
+    def finish(self, n_intervals: int) -> _Frontend:
+        """Seal the stream into the replay's :class:`_Frontend` form."""
+        if self.python is not None:
+            return self.python.finish(n_intervals)
+        return _seal(
+            dict(zip(_FRONTEND_SLOTS, self.state.tolist())), self.actions,
+            self.config.btac is not None, self.intervals.tolist(),
+            n_intervals, native=True,
+        )
+
+
+def _frontend_geometry(config: CoreConfig, segment: int) -> np.ndarray | None:
+    """The native walk's packed geometry (the kernel's ``G_*`` enum).
+
+    None when the kernel cannot walk this group: it inlines gshare only,
+    and every packed value must fit int64.
+    """
+    if config.predictor.kind != "gshare":
+        return None
+    spec, cache, btac = config.predictor, config.cache, config.btac
+    values = [
+        (1 << spec.table_bits) - 1,
+        (1 << spec.history_bits) - 1,
+        cache.sets - 1,
+        cache.line_bytes,
+        cache.ways,
+        btac.entries if btac else 0,
+        btac.score_threshold if btac else 0,
+        (1 << btac.score_bits) - 1 if btac else 0,
+        btac.initial_score if btac else 0,
+        segment,
+    ]
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
+
+
+def _new_frontend(config: CoreConfig, segment: int):
+    """The native walk when the kernel can run it, else the Python one."""
+    lib = _native_kernel()
+    if lib is not None:
+        geometry = _frontend_geometry(config, segment)
+        if geometry is not None:
+            return _NativeFrontendPass(lib, config, segment, geometry)
+    return _FrontendPass(config, segment)
 
 
 def _frontend_pass(
@@ -510,37 +717,208 @@ def _frontend_pass(
     """Evolve predictor/BTAC/L1D over the trace once, emitting actions.
 
     Mirrors the flags-handling section of ``Core._simulate_columnar``
-    statement for statement — same inlined gshare, same slot-probe BTAC
-    reuse, same MRU-fast-path cache — but instead of steering a live
-    timing loop it records each event's consequence as an action byte.
-    Only flagged events are visited (plain ALU ops need no frontend).
-    A single-feed :class:`_FrontendPass`.
+    statement for statement — same gshare, same slot-probe BTAC reuse,
+    same LRU cache — but instead of steering a live timing loop it
+    records each event's consequence as an action byte. Only flagged
+    events are visited (plain ALU ops need no frontend). A single-feed
+    walk.
     """
-    walker = _FrontendPass(config, segment if n_intervals else 0)
+    walker = _new_frontend(config, segment if n_intervals else 0)
     walker.feed(trace)
     return walker.finish(n_intervals)
 
 
 # --------------------------------------------------------------------
-# Native timing-replay kernel (compiled once per process, ctypes).
+# Native kernels (compiled once per host, loaded once per process).
 # --------------------------------------------------------------------
 
 _NATIVE_SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+/* Frontend geometry slots (packed by _frontend_geometry). */
+enum {
+    G_TABLE_MASK, G_HISTORY_MASK, G_SET_MASK, G_LINE_BYTES, G_WAYS,
+    G_BTAC_ENTRIES, G_SCORE_THRESHOLD, G_MAX_SCORE, G_INITIAL_SCORE,
+    G_SEGMENT
+};
+
+/* Carried frontend state slots (the order of _FRONTEND_SLOTS). */
+enum {
+    S_HISTORY, S_BLOCK_START, S_STARTED, S_BASE, S_BTAC_USED,
+    S_BRANCHES, S_CONDITIONAL, S_TAKEN, S_DIRECTION_MISSES,
+    S_TARGET_MISSES, S_TAKEN_BUBBLES, S_LOADS, S_STORES, S_LOAD_MISSES,
+    S_CACHE_ACCESSES, S_CACHE_MISSES, S_BTAC_LOOKUPS, S_BTAC_HITS,
+    S_BTAC_PREDICTIONS, S_BTAC_CORRECT, S_BTAC_INCORRECT,
+    S_BTAC_ALLOCATIONS, S_COUNT
+};
+
+/* Walk one segment's events through the shared frontend: inlined
+ * gshare, LRU L1D (most-recently-used line at the back of its set),
+ * score-replaced BTAC. Writes one action byte per flagged event and
+ * carries every piece of state in the caller's arrays, so consecutive
+ * segments walk exactly like one trace. Returns 1, before touching any
+ * state, when an access's byte address would overflow int64. */
+int repro_frontend_walk(
+    int64_t n, const uint8_t *flags, const int64_t *pc,
+    const int64_t *next_pc, const int64_t *address, const int64_t *geo,
+    uint8_t *table, int64_t *lines, int64_t *fill, int64_t *btac,
+    int64_t *state, int64_t *intervals, int64_t interval_cap,
+    uint8_t *action)
+{
+    for (int64_t i = 0; i < n; i++)
+        if ((flags[i] & 24) &&
+            (address[i] > INT64_MAX / 8 || address[i] < INT64_MIN / 8))
+            return 1;
+    const uint64_t table_mask = (uint64_t)geo[G_TABLE_MASK];
+    const uint64_t history_mask = (uint64_t)geo[G_HISTORY_MASK];
+    const int64_t set_mask = geo[G_SET_MASK];
+    const int64_t line_bytes = geo[G_LINE_BYTES], ways = geo[G_WAYS];
+    const int64_t btac_entries = geo[G_BTAC_ENTRIES];
+    const int64_t threshold = geo[G_SCORE_THRESHOLD];
+    const int64_t max_score = geo[G_MAX_SCORE];
+    const int64_t initial_score = geo[G_INITIAL_SCORE];
+    const int64_t segment = geo[G_SEGMENT];
+    int64_t s[S_COUNT];
+    memcpy(s, state, sizeof s);
+    uint64_t history = (uint64_t)s[S_HISTORY];
+    if (!s[S_STARTED]) { s[S_BLOCK_START] = pc[0]; s[S_STARTED] = 1; }
+    int64_t block_start = s[S_BLOCK_START];
+    for (int64_t i = 0; i < n; i++) {
+        const int f = flags[i];
+        if (!f) continue;
+        int act = 0;
+        if (f & 24) {  /* load or store */
+            const int64_t byte = address[i] * 8;
+            int64_t line = byte / line_bytes;
+            if (byte % line_bytes < 0) line -= 1;  /* floor, as Python's // */
+            int64_t *set = lines + (line & set_mask) * ways;
+            int64_t *count = fill + (line & set_mask);
+            int64_t k = *count - 1;
+            while (k >= 0 && set[k] != line) k--;
+            const int hit = k >= 0;
+            s[S_CACHE_ACCESSES]++;
+            if (hit) {
+                for (; k < *count - 1; k++) set[k] = set[k + 1];
+            } else {
+                s[S_CACHE_MISSES]++;
+                if (*count < ways) *count += 1;
+                else for (k = 0; k < ways - 1; k++) set[k] = set[k + 1];
+            }
+            set[*count - 1] = line;
+            if (f & 8) {
+                s[S_LOADS]++;
+                if (hit) act = 8;
+                else { s[S_LOAD_MISSES]++; act = 16; }
+            } else {
+                s[S_STORES]++;
+            }
+        }
+        if (f & 1) {  /* branch */
+            const int taken = (f & 4) != 0;
+            int mispredicted = 0;
+            s[S_BRANCHES]++;
+            if (taken) s[S_TAKEN]++;
+            if (f & 2) {  /* conditional: gshare */
+                const uint64_t index =
+                    ((uint64_t)pc[i] ^ history) & table_mask;
+                const int counter = table[index];
+                s[S_CONDITIONAL]++;
+                if (taken) {
+                    if (counter < 3) table[index] = (uint8_t)(counter + 1);
+                    history = ((history << 1) | 1) & history_mask;
+                    mispredicted = counter < 2;
+                } else {
+                    if (counter > 0) table[index] = (uint8_t)(counter - 1);
+                    history = (history << 1) & history_mask;
+                    mispredicted = counter >= 2;
+                }
+            }
+            if (mispredicted) {
+                s[S_DIRECTION_MISSES]++;
+                act |= 1;
+            } else if (!taken) {
+                act |= 3;
+            } else if (btac_entries == 0) {
+                s[S_TAKEN_BUBBLES]++;
+                act |= 2;
+            } else {
+                const int64_t target = next_pc[i];
+                int64_t *entry = NULL;
+                for (int64_t e = 0; e < s[S_BTAC_USED]; e++)
+                    if (btac[3 * e] == block_start) {
+                        entry = btac + 3 * e;
+                        break;
+                    }
+                s[S_BTAC_LOOKUPS]++;
+                if (entry != NULL) s[S_BTAC_HITS]++;
+                if (entry == NULL || entry[2] < threshold) {
+                    s[S_TAKEN_BUBBLES]++;
+                    act |= 2;
+                } else {
+                    s[S_BTAC_PREDICTIONS]++;
+                    if (entry[1] == target) {
+                        s[S_BTAC_CORRECT]++;
+                        act |= 3;
+                    } else {
+                        s[S_BTAC_INCORRECT]++;
+                        s[S_TARGET_MISSES]++;
+                        act |= 4;
+                    }
+                }
+                if (entry != NULL) {
+                    if (entry[1] == target) {
+                        if (entry[2] < max_score) entry[2] += 1;
+                    } else if (entry[2] > 0) {
+                        entry[2] = 0;
+                    } else {
+                        entry[1] = target;
+                    }
+                } else {
+                    /* A free slot, else the first lowest-score one. */
+                    int64_t victim = s[S_BTAC_USED];
+                    if (victim < btac_entries) {
+                        s[S_BTAC_USED]++;
+                    } else {
+                        victim = 0;
+                        for (int64_t e = 1; e < btac_entries; e++)
+                            if (btac[3 * e + 2] < btac[3 * victim + 2])
+                                victim = e;
+                    }
+                    btac[3 * victim] = block_start;
+                    btac[3 * victim + 1] = target;
+                    btac[3 * victim + 2] = initial_score;
+                    s[S_BTAC_ALLOCATIONS]++;
+                }
+            }
+            if (taken || mispredicted) block_start = next_pc[i];
+            if (segment > 0) {
+                const int64_t k = (s[S_BASE] + i) / segment;
+                intervals[k]++;
+                if (mispredicted) intervals[interval_cap + k]++;
+            }
+        }
+        action[i] = (uint8_t)act;
+    }
+    s[S_HISTORY] = (int64_t)history;
+    s[S_BLOCK_START] = block_start;
+    s[S_BASE] += n;
+    memcpy(state, s, sizeof s);
+    return 0;
+}
+
 /* Safety margin between any touched usage-lane index and the lane
  * capacity; larger than any static occupancy the ISA emits. */
 #define MARGIN 128
 
 /* Replay the per-config timing recurrence over a shared action
- * stream. Returns 0 on success, 1 when a usage lane would overflow
- * (caller retries with a larger cap or falls back to Python). */
+ * stream. Event i's static facts are row sid[i] of `rows`: s1, s2, s3,
+ * unit, occupancy, latency, dst (8 int64 slots). Returns 0 on success,
+ * 1 when a usage lane would overflow (caller retries with a larger cap
+ * or falls back to Python). */
 int repro_replay_batch(
     int64_t n_events, int64_t n_configs,
-    const int64_t *s1, const int64_t *s2, const int64_t *s3,
-    const int64_t *unit, const int64_t *occ, const int64_t *lat,
-    const int64_t *dst, const int64_t *action,
+    const int *sid, const int64_t *rows, const uint8_t *action,
     const int64_t *params,
     int64_t interval_size, int64_t n_intervals,
     int64_t *cycles_out, int64_t *stall_out, int64_t *interval_out,
@@ -572,17 +950,18 @@ int repro_replay_batch(
             (interval_size > 0 && n_intervals > 0) ? interval_size : -1;
         int64_t interval_idx = 0;
         for (int64_t i = 0; i < n_events; i++) {
+            const int64_t *row = rows + 8 * (int64_t)sid[i];
             if (fetched >= fetch_width) { dispatch_base += 1; fetched = 0; }
             fetched += 1;
             int64_t dispatch = dispatch_base;
             if (window_buf[i] > dispatch) dispatch = window_buf[i];
-            int64_t ready = reg_ready[s1[i]];
-            if (reg_ready[s2[i]] > ready) ready = reg_ready[s2[i]];
-            if (reg_ready[s3[i]] > ready) ready = reg_ready[s3[i]];
+            int64_t ready = reg_ready[row[0]];
+            if (reg_ready[row[1]] > ready) ready = reg_ready[row[1]];
+            if (reg_ready[row[2]] > ready) ready = reg_ready[row[2]];
             int64_t wait_dep, limiter;
             if (ready > dispatch) { wait_dep = ready; limiter = 1; }
             else { wait_dep = dispatch; limiter = 0; }
-            const int64_t u = unit[i];
+            const int64_t u = row[3];
             int64_t issue;
             if (u == 3) {
                 issue = wait_dep;
@@ -592,7 +971,7 @@ int repro_replay_batch(
                 const int64_t cap = caps[u];
                 int64_t floor_ = floors[u];
                 int64_t cycle = wait_dep > floor_ ? wait_dep : floor_;
-                const int64_t o = occ[i];
+                const int64_t o = row[4];
                 if (o == 1) {
                     int64_t count = us[cycle];
                     while (count >= cap) { cycle += 1; count = us[cycle]; }
@@ -626,13 +1005,13 @@ int repro_replay_batch(
                     issue = cycle;
                 }
             }
-            const int64_t a = action[i];
-            int64_t latency = lat[i];
+            const int a = action[i];
+            int64_t latency = row[5];
             if (a & 8) latency = hit_latency;
             else if (a & 16) { latency = miss_latency; limiter = 5; }
             const int64_t complete = issue + latency;
-            reg_ready[dst[i]] = complete;
-            const int64_t ba = a & 7;
+            reg_ready[row[6]] = complete;
+            const int ba = a & 7;
             if (ba == 1) {
                 dispatch_base = complete + 1 + depth; fetched = 0;
             } else if (ba == 2) {
@@ -677,13 +1056,13 @@ _native_state: dict = {}
 
 
 def native_enabled() -> bool:
-    """Whether the compiled replay kernel may be used (REPRO_NATIVE)."""
+    """Whether the compiled kernels may be used (REPRO_NATIVE)."""
     value = os.environ.get("REPRO_NATIVE", "").strip().lower()
     return value not in {"off", "0", "false", "no"}
 
 
 def _build_native():
-    """Compile (or reuse) the replay kernel; returns the ctypes fn."""
+    """Compile (or reuse) the kernels; returns the loaded library."""
     digest = hashlib.sha256(_NATIVE_SOURCE.encode()).hexdigest()[:12]
     try:
         tag = f"{os.getuid()}"
@@ -698,39 +1077,48 @@ def _build_native():
         if compiler is None:
             return None
         cache_dir.mkdir(parents=True, exist_ok=True)
-        src = cache_dir / f"replay_{digest}.c"
-        src.write_text(_NATIVE_SOURCE)
-        tmp = cache_dir / f"replay_{digest}.{os.getpid()}.tmp.so"
-        subprocess.run(
-            [compiler, "-O2", "-shared", "-fPIC", "-o", str(tmp), str(src)],
-            check=True,
-            capture_output=True,
-            timeout=120,
+        # The source goes in on stdin and the library out under a name
+        # no other builder uses, so concurrent first builds never read
+        # or install a half-written file; the rename is atomic.
+        tmp = so_path.with_name(
+            f"replay_{digest}.{os.getpid()}.{secrets.token_hex(4)}.tmp.so"
         )
-        os.replace(tmp, so_path)  # atomic vs concurrent builders
+        try:
+            subprocess.run(
+                [compiler, "-O2", "-pipe", "-shared", "-fPIC",
+                 "-o", str(tmp), "-x", "c", "-"],
+                input=_NATIVE_SOURCE.encode(),
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            os.replace(tmp, so_path)
+        finally:
+            tmp.unlink(missing_ok=True)
     lib = ctypes.CDLL(str(so_path))
-    fn = lib.repro_replay_batch
-    fn.restype = ctypes.c_int
-    fn.argtypes = (
-        [ctypes.c_longlong, ctypes.c_longlong]
-        + [ctypes.c_void_p] * 9
-        + [ctypes.c_longlong, ctypes.c_longlong]
-        + [ctypes.c_void_p] * 5
-        + [ctypes.c_longlong]
+    pointer, count = ctypes.c_void_p, ctypes.c_longlong
+    lib.repro_frontend_walk.restype = ctypes.c_int
+    lib.repro_frontend_walk.argtypes = (
+        [count] + [pointer] * 11 + [count, pointer]
     )
-    return fn
+    lib.repro_replay_batch.restype = ctypes.c_int
+    lib.repro_replay_batch.argtypes = (
+        [count, count] + [pointer] * 4 + [count, count] + [pointer] * 5
+        + [count]
+    )
+    return lib
 
 
 def _native_kernel():
-    """The compiled replay entry point, or None (cached per process)."""
+    """The loaded kernel library, or None (cached per process)."""
     if not native_enabled():
         return None
-    if "fn" not in _native_state:
+    if "lib" not in _native_state:
         try:
-            _native_state["fn"] = _build_native()
+            _native_state["lib"] = _build_native()
         except Exception:
-            _native_state["fn"] = None
-    return _native_state["fn"]
+            _native_state["lib"] = None
+    return _native_state["lib"]
 
 
 def _config_params(config: CoreConfig) -> list[int]:
@@ -756,7 +1144,7 @@ def _ptr(array: np.ndarray) -> int:
 
 
 def _run_native(
-    fn,
+    lib,
     meta: _StaticMeta,
     action: np.ndarray,
     rows: list[list[int]],
@@ -764,10 +1152,15 @@ def _run_native(
     n_intervals: int,
     max_window: int,
 ):
-    """Drive the C kernel; None when it cannot cover this group."""
+    """Drive the C replay; None when it cannot cover this group."""
     n = meta.n
-    if int(meta.occ.max()) >= 96:  # exceeds the kernel's MARGIN headroom
+    if int(meta.rows[:, 4].max()) >= 96:  # beyond the kernel's MARGIN
         return None
+    sid = np.ascontiguousarray(meta.sid, dtype=np.intc)
+    table = np.ascontiguousarray(meta.rows, dtype=np.int64)
+    action = np.ascontiguousarray(action, dtype=np.uint8)
+    if len(sid) != n or len(action) != n or table.shape[1] != _ROW:
+        raise SimulationError("replay columns disagree on the event count")
     n_configs = len(rows)
     params = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
     cycles = np.zeros(n_configs, dtype=np.int64)
@@ -779,16 +1172,11 @@ def _run_native(
         # np.zeros is calloc-backed: untouched pages stay virtual, and
         # the kernel re-clears only the region it actually used.
         usage = np.zeros(3 * cap, dtype=np.int64)
-        ret = fn(
+        ret = lib.repro_replay_batch(
             n,
             n_configs,
-            _ptr(meta.s1),
-            _ptr(meta.s2),
-            _ptr(meta.s3),
-            _ptr(meta.unit),
-            _ptr(meta.occ),
-            _ptr(meta.lat),
-            _ptr(meta.dst),
+            _ptr(sid),
+            _ptr(table),
             _ptr(action),
             _ptr(params),
             interval_size,
@@ -818,13 +1206,8 @@ def _run_python(
     n_intervals: int,
 ):
     """Pure-Python replay, bit-for-bit the native kernel's semantics."""
-    s1l = meta.s1.tolist()
-    s2l = meta.s2.tolist()
-    s3l = meta.s3.tolist()
-    unitl = meta.unit.tolist()
-    occl = meta.occ.tolist()
-    latl = meta.lat.tolist()
-    dstl = meta.dst.tolist()
+    table = [tuple(row) for row in meta.rows.tolist()]
+    statics = [table[s] for s in meta.sid.tolist()]
     act = action.tolist()
     n = meta.n
     all_cycles: list[int] = []
@@ -848,6 +1231,7 @@ def _run_python(
         iv_commits: list[int] = []
         next_boundary = segment if n_intervals else -1
         for i in range(n):
+            s1, s2, s3, u, o, latency, dst, _ = statics[i]
             if fetched >= fetch_width:
                 dispatch_base += 1
                 fetched = 0
@@ -856,11 +1240,11 @@ def _run_python(
             slot_free = window_commits[i]
             if slot_free > dispatch:
                 dispatch = slot_free
-            ready = reg_ready[s1l[i]]
-            value = reg_ready[s2l[i]]
+            ready = reg_ready[s1]
+            value = reg_ready[s2]
             if value > ready:
                 ready = value
-            value = reg_ready[s3l[i]]
+            value = reg_ready[s3]
             if value > ready:
                 ready = value
             if ready > dispatch:
@@ -869,7 +1253,6 @@ def _run_python(
             else:
                 wait_dep = dispatch
                 limiter = 0
-            u = unitl[i]
             if u == 3:
                 issue = wait_dep
             else:
@@ -878,7 +1261,6 @@ def _run_python(
                 uget = usage.get
                 floor = floors[u]
                 cycle = wait_dep if wait_dep > floor else floor
-                o = occl[i]
                 if o == 1:
                     count = uget(cycle, 0)
                     while count >= cap:
@@ -908,14 +1290,13 @@ def _run_python(
                         limiter = u + 2
                     issue = cycle
             a = act[i]
-            latency = latl[i]
             if a & 8:
                 latency = hit_latency
             elif a & 16:
                 latency = miss_latency
                 limiter = 5
             complete = issue + latency
-            reg_ready[dstl[i]] = complete
+            reg_ready[dst] = complete
             ba = a & 7
             if ba:
                 if ba == 1:
@@ -958,24 +1339,6 @@ def _run_python(
 # --------------------------------------------------------------------
 
 
-def _simulate_group(
-    trace: Trace,
-    meta: _StaticMeta,
-    configs: list[CoreConfig],
-    interval_size: int | None,
-) -> tuple[list[SimResult], bool]:
-    """One frontend pass + per-config replay for a frontend group."""
-    n = meta.n
-    if interval_size is None:
-        segment = n
-        n_intervals = 0
-    else:
-        segment = interval_size if interval_size >= 1 else 1
-        n_intervals = n // segment
-    front = _frontend_pass(trace, configs[0], segment, n_intervals)
-    return _replay(meta, front, configs, segment, n_intervals)
-
-
 def _replay(
     meta: _StaticMeta,
     front: _Frontend,
@@ -989,10 +1352,10 @@ def _replay(
     max_window = max(config.window for config in configs)
     native_used = False
     out = None
-    fn = _native_kernel()
-    if fn is not None:
+    lib = _native_kernel()
+    if lib is not None:
         out = _run_native(
-            fn, meta, front.action, rows,
+            lib, meta, front.action, rows,
             segment if n_intervals else 0, n_intervals, max_window,
         )
         native_used = out is not None
@@ -1063,7 +1426,7 @@ def simulate_batched(
         raise SimulationError("cannot simulate an empty trace")
     results: list[SimResult | None] = [None] * len(configs)
     batched = [False] * len(configs)
-    native_used = False
+    native_used = native_frontend = False
     meta = _static_meta(trace) if isinstance(trace, Trace) else None
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
@@ -1075,34 +1438,29 @@ def simulate_batched(
                     trace, interval_size
                 )
             continue
-        group_results, used_native = _simulate_group(
-            trace, meta, [configs[index] for index in members],
-            interval_size,
+        n = meta.n
+        if interval_size is None:
+            segment = n
+            n_intervals = 0
+        else:
+            segment = interval_size if interval_size >= 1 else 1
+            n_intervals = n // segment
+        front = _frontend_pass(
+            trace, configs[members[0]], segment, n_intervals
+        )
+        group_results, used_native = _replay(
+            meta, front, [configs[index] for index in members], segment,
+            n_intervals,
         )
         native_used = native_used or used_native
+        native_frontend = native_frontend or front.native
         for index, result in zip(members, group_results):
             results[index] = result
             batched[index] = True
         if guards_enabled():
             for index in members:
                 check_sim_result(results[index], configs[index])
-    return BatchOutcome(results, batched, native_used)
-
-
-def _concat_meta(metas: list[_StaticMeta]) -> _StaticMeta:
-    """Join per-segment meta columns into one replay-ready block."""
-    if len(metas) == 1:
-        return metas[0]
-
-    def cat(field: str) -> np.ndarray:
-        return np.concatenate([getattr(m, field) for m in metas])
-
-    return _StaticMeta(
-        s1=cat("s1"), s2=cat("s2"), s3=cat("s3"), unit=cat("unit"),
-        occ=cat("occ"), lat=cat("lat"), dst=cat("dst"),
-        fxu_ops=sum(m.fxu_ops for m in metas),
-        n=sum(m.n for m in metas),
-    )
+    return BatchOutcome(results, batched, native_used, native_frontend)
 
 
 def simulate_batched_stream(
@@ -1124,10 +1482,10 @@ def simulate_batched_stream(
     cannot represent is materialised and delegated to the monolithic
     entry point, whose event-form fallback handles it.
 
-    Bounded-memory note: the timing replay needs the whole action/meta
-    column block, so this holds O(total events) of *packed numpy rows*
-    — but never the decoded Python-side trace, which is what dominates
-    a monolithic run's footprint.
+    Bounded-memory note: the timing replay needs the whole action and
+    static-id columns, so this holds five bytes per event of packed
+    numpy columns — but never the decoded Python-side trace, which is
+    what dominates a monolithic run's footprint.
     """
     configs = list(configs)
     if not configs:
@@ -1158,7 +1516,7 @@ def simulate_batched_stream(
     groups: dict[tuple, list[int]] = {}
     for index, config in enumerate(configs):
         groups.setdefault(frontend_key(config), []).append(index)
-    passes: list[tuple[list[int], _FrontendPass]] = []
+    passes: list[tuple[list[int], _FrontendPass | _NativeFrontendPass]] = []
     scalars: list[tuple[int, Core, _StreamState]] = []
     for members in groups.values():
         if len(members) < 2:
@@ -1170,7 +1528,7 @@ def simulate_batched_stream(
                 ))
         else:
             passes.append(
-                (members, _FrontendPass(configs[members[0]], chunk))
+                (members, _new_frontend(configs[members[0]], chunk))
             )
 
     metas: list[_StaticMeta] = []
@@ -1207,19 +1565,21 @@ def simulate_batched_stream(
 
     results: list[SimResult | None] = [None] * len(configs)
     batched = [False] * len(configs)
-    native_used = False
+    native_used = native_frontend = False
     for index, core, state in scalars:
         results[index] = core._finalize_stream(state)
     for members, walker in passes:
+        front = walker.finish(n_intervals)
         group_results, used_native = _replay(
-            meta, walker.finish(n_intervals),
-            [configs[index] for index in members], segment, n_intervals,
+            meta, front, [configs[index] for index in members], segment,
+            n_intervals,
         )
         native_used = native_used or used_native
+        native_frontend = native_frontend or front.native
         for index, result in zip(members, group_results):
             results[index] = result
             batched[index] = True
     if guards_enabled():
         for index, config in enumerate(configs):
             check_sim_result(results[index], config)
-    return BatchOutcome(results, batched, native_used)
+    return BatchOutcome(results, batched, native_used, native_frontend)

@@ -164,6 +164,27 @@ class TestCacheAndJournal:
         assert rerun.stats.cache.result_hits == 3
         assert rerun.stats.batch_sizes == []  # nothing left to batch
 
+    def test_prewarm_skips_points_already_on_disk(
+        self, tmp_path, restore_globals
+    ):
+        """Only points left to simulate share a prewarmed decode; a
+        fully warm rerun decodes nothing up front."""
+        from repro.engine import cache as cache_module
+
+        root = tmp_path / "store"
+        cache_module.use_cache_dir(root)
+        Engine(cache_dir=root).characterize_many(
+            _points(fxus=(2,)), jobs=1, batch=True
+        )
+        partial = Engine(cache_dir=root)
+        partial.characterize_many(_points(), jobs=1, batch=True)
+        assert partial.stats.cache.result_hits == 1
+        assert partial.stats.decode_reuse_hits == 1  # fxu 3 and 4
+        rerun = Engine(cache_dir=root)
+        rerun.characterize_many(_points(), jobs=1, batch=True)
+        assert rerun.stats.cache.result_hits == 3
+        assert rerun.stats.decode_reuse_hits == 0
+
     def test_journal_records_batch_stats_and_per_point_done(
         self, fresh_engine
     ):

@@ -10,6 +10,8 @@ rewritten loop (flag decoding, dependency scoreboard, unit occupancy,
 branch redirect, stall attribution) fails here first.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from repro.bio.msa import clustalw, pairwise_distance_matrix
 from repro.bio.scoring import BLOSUM62, GapPenalties
 from repro.bio.workloads import make_family, mutate
 from repro.engine.serialize import result_to_dict
-from repro.isa.trace import Trace
+from repro.isa.trace import F_LOAD, Trace
 from repro.kernels import (
     forward_pass,
     gapped_extend,
@@ -28,7 +30,13 @@ from repro.kernels import (
     viterbi,
 )
 from repro.kernels.runtime import ALL_VARIANTS
-from repro.uarch.config import PREDICTOR_KINDS, power5
+from repro.uarch import batched
+from repro.uarch.config import (
+    PREDICTOR_KINDS,
+    BtacConfig,
+    CacheConfig,
+    power5,
+)
 from repro.uarch.core import Core
 from repro.uarch.synthetic import MixProfile, generate_trace
 
@@ -274,3 +282,88 @@ class TestBatchedGoldenEquality:
         outcome = self._batched_vs_sequential(trace, configs)
         assert not outcome.native
         assert outcome.vectorized == len(configs)
+
+
+#: Frontend geometries the native walk handles on its own code paths:
+#: BTACs that evict on every allocation, the extreme scoring settings,
+#: direct-mapped and highly associative L1Ds (small, so lines evict),
+#: a line size that is no multiple of the word, and history-free gshare.
+FRONTEND_CASES = (
+    ("btac1", power5().with_btac(BtacConfig(entries=1))),
+    ("btac2", power5().with_btac(BtacConfig(entries=2))),
+    ("threshold0", power5().with_btac(BtacConfig(score_threshold=0))),
+    ("initial-max", power5().with_btac(BtacConfig(initial_score=3))),
+    ("l1d-1way", replace(power5(), cache=CacheConfig(2048, ways=1))),
+    ("l1d-8way", replace(power5(), cache=CacheConfig(2048, ways=8))),
+    ("l1d-12B-lines", replace(
+        power5(), cache=CacheConfig(96, line_bytes=12, ways=1))),
+    ("history0", power5().with_predictor(
+        "gshare", table_bits=10, history_bits=0)),
+)
+
+
+class TestFrontendEquality:
+    """Native and Python frontend walks == the scalar core, exactly.
+
+    Each case runs a two-config timing group, so the shared frontend
+    pass (native or Python, per the ``native`` fixture) produces both
+    results, which must match ``Core.simulate`` — intervals included.
+    """
+
+    def _check(self, trace, config, interval_size=None):
+        configs = [config, config.with_fxus(4)]
+        outcome = batched.simulate_batched(
+            trace, configs, interval_size=interval_size
+        )
+        golden = [
+            result_to_dict(Core(c).simulate(trace, interval_size))
+            for c in configs
+        ]
+        assert [result_to_dict(r) for r in outcome.results] == golden
+        assert outcome.vectorized == len(configs)
+        return outcome
+
+    @pytest.mark.parametrize(
+        "label,config", FRONTEND_CASES, ids=[c[0] for c in FRONTEND_CASES]
+    )
+    def test_synthetic_mix(self, label, config, native):
+        trace = generate_trace(12_000, MixProfile(), seed=81)
+        outcome = self._check(trace, config, interval_size=1_000)
+        assert outcome.native_frontend == outcome.native == native
+
+    @pytest.mark.parametrize(
+        "label,config", FRONTEND_CASES, ids=[c[0] for c in FRONTEND_CASES]
+    )
+    def test_kernel_trace(self, label, config, native):
+        _, trace = _traces("blast", "baseline")
+        outcome = self._check(trace, config)
+        assert outcome.native_frontend == outcome.native == native
+
+    def test_negative_addresses_floor_like_python(self, native):
+        """Line addresses use floor division, as Python's ``//`` does."""
+        trace = generate_trace(6_000, MixProfile(), seed=82)
+        for index in range(0, len(trace), 3):
+            trace.address[index] = -trace.address[index] - 1
+        config = replace(power5(), cache=CacheConfig(96, 12, ways=1))
+        outcome = self._check(trace, config)
+        assert outcome.native_frontend == native
+
+    def test_byte_address_beyond_int64_walks_in_python(self, native):
+        """The kernel refuses an access whose byte address overflows
+        int64; the group's walk runs in Python and stays exact."""
+        trace = generate_trace(6_000, MixProfile(), seed=83)
+        flags = np.frombuffer(trace.flags, dtype=np.uint8)
+        trace.address[int(np.flatnonzero(flags & F_LOAD)[10])] = 1 << 61
+        outcome = self._check(trace, power5().with_btac())
+        assert not outcome.native_frontend
+        assert outcome.native == native
+
+    def test_geometry_beyond_int64_walks_in_python(self, native):
+        """A BTAC score wider than int64 cannot be packed for the
+        kernel; the group's walk runs in Python and stays exact."""
+        trace = generate_trace(6_000, MixProfile(), seed=84)
+        outcome = self._check(
+            trace, power5().with_btac(BtacConfig(score_bits=64))
+        )
+        assert not outcome.native_frontend
+        assert outcome.native == native

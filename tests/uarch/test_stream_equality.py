@@ -11,6 +11,7 @@ degenerate 1 to larger-than-trace, every predictor kind, the paper's
 FXU/BTAC design points, and the pipelined (producer-thread) wrapper.
 """
 
+import numpy as np
 import pytest
 
 from repro.bpred.replay import branch_stream
@@ -19,9 +20,9 @@ from repro.errors import SimulationError
 from repro.isa.interpreter import Machine
 from repro.isa.memory import Memory
 from repro.isa.program import ProgramBuilder
-from repro.isa.trace import Trace, TraceEvent
+from repro.isa.trace import F_LOAD, Trace, TraceEvent
 from repro.uarch.batched import simulate_batched, simulate_batched_stream
-from repro.uarch.config import PREDICTOR_KINDS, power5
+from repro.uarch.config import PREDICTOR_KINDS, BtacConfig, power5
 from repro.uarch.core import Core
 from repro.uarch.synthetic import (
     MixProfile,
@@ -182,6 +183,75 @@ class TestBatchedStreamEquality:
     def test_empty_stream_raises(self):
         with pytest.raises(SimulationError):
             simulate_batched_stream(iter(()), [power5()])
+
+
+def _restaticked(trace, size):
+    """``trace`` in segments that each carry their own static table,
+    interned in a different (rotated) order, so every segment numbers
+    the same instructions differently."""
+    table = trace.static
+    entries = [
+        (table.ops[s], table.dsts[s], table.srcs[s])
+        for s in range(len(table))
+    ]
+    for number, view in enumerate(trace.segments(size)):
+        shift = number % len(entries)
+        segment = Trace()
+        for entry in entries[shift:] + entries[:shift]:
+            segment.static.intern(*entry)
+        segment.extend(view)
+        yield segment
+
+
+class TestBatchedStreamFrontends:
+    """Carried native and Python frontend state == one monolithic walk."""
+
+    def _assert_scalar(self, segments, trace, configs, interval_size=None):
+        streamed = simulate_batched_stream(
+            segments, configs, interval_size=interval_size
+        )
+        golden = [
+            result_to_dict(Core(config).simulate(trace, interval_size))
+            for config in configs
+        ]
+        assert [result_to_dict(r) for r in streamed.results] == golden
+        return streamed
+
+    @pytest.mark.parametrize("size", (1, 700, 1_000, 10**9))
+    def test_intervals_split_across_segments(self, size, native):
+        trace = _synthetic()
+        configs = [power5().with_btac(), power5().with_btac().with_fxus(4)]
+        outcome = self._assert_scalar(
+            trace.segments(size), trace, configs, interval_size=1_000
+        )
+        assert outcome.native_frontend == native
+        assert outcome.native == native
+
+    def test_segments_with_different_static_tables(self, native):
+        trace = _synthetic()
+        configs = [power5().with_fxus(f) for f in (2, 3, 4)]
+        outcome = self._assert_scalar(
+            _restaticked(trace, 997), trace, configs, interval_size=500
+        )
+        assert outcome.vectorized == len(configs)
+        assert outcome.native_frontend == native
+
+    def test_overflowing_segment_moves_the_walk_to_python(self, native):
+        """The native walk carries its state into the Python walk at
+        the first segment holding an access beyond int64 bytes."""
+        trace = generate_trace(6_000, MixProfile(), seed=92)
+        flags = np.frombuffer(trace.flags, dtype=np.uint8)
+        loads = np.flatnonzero(flags & F_LOAD)
+        trace.address[int(loads[loads > 4_000][0])] = 1 << 61
+        configs = [
+            power5().with_btac(BtacConfig(entries=2)),
+            power5().with_btac(BtacConfig(entries=2)).with_fxus(4),
+        ]
+        outcome = self._assert_scalar(
+            trace.segments(997), trace, configs, interval_size=800
+        )
+        assert not outcome.native_frontend
+        assert outcome.native == native
 
 
 def _sum_loop_program(n):
