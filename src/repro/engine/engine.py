@@ -6,8 +6,10 @@ Every simulation request flows through three layers:
    config-digest)`` key (not dataclass identity);
 2. the persistent content-addressed cache (:mod:`repro.engine.cache`),
    which survives across processes and runs;
-3. the real pipeline — :func:`repro.perf.characterize.characterize` —
-   whose result is then persisted and memoised.
+3. the real pipeline — a one-config
+   :func:`repro.perf.characterize.characterize_batched` call, the
+   shared frontend pass and native replay — whose result is then
+   persisted and memoised.
 
 ``default_engine()`` is the process-wide instance the experiment
 drivers and the CLI share; it uses the process-wide persistent cache.
@@ -50,7 +52,7 @@ from repro.engine.telemetry import (
     PointRecord,
 )
 from repro.errors import WorkloadError
-from repro.perf.characterize import AppCharacterisation, characterize
+from repro.perf.characterize import AppCharacterisation, characterize_batched
 from repro.uarch.config import CoreConfig, power5
 
 #: Sentinel: "use the environment-resolved cache directory".
@@ -115,7 +117,7 @@ class Engine:
             result = self._load_persistent(app, variant, digest)
             source = SOURCE_DISK
             if result is None:
-                result = characterize(app, variant, config)
+                (result,), _ = characterize_batched(app, variant, [config])
                 self.cache.store_result_payload(
                     app, variant, digest,
                     serialize.characterisation_to_dict(result),
@@ -156,8 +158,6 @@ class Engine:
         batch construction per input class); core and accelerator
         points may mix freely in one call.
         """
-        from repro.perf.characterize import characterize_batched
-
         accel_indices = [
             index for index, config in enumerate(configs)
             if isinstance(config, AccelConfig)

@@ -329,8 +329,9 @@ class _BatchTask:
 def _batch_tasks(tasks) -> list:
     """Fold trace-sharing groups of two or more points into batches.
 
-    Singleton groups stay plain :class:`_Task`s — there is nothing to
-    share, and the scalar path avoids the batch bookkeeping.
+    Singleton groups stay plain :class:`_Task`s — there is no decode to
+    share, and :meth:`Engine.characterize` already simulates its point
+    as a one-config batch, without the batch bookkeeping.
     """
     out: list = []
     for (app, variant), group in group_by_trace(tasks).items():

@@ -142,7 +142,8 @@ def interleaving() -> Table:
     predictor/BTAC/cache see cross-phase interference. The delta bounds
     how much that modelling choice matters.
     """
-    from repro.perf.characterize import characterize
+    from repro.perf.characterize import composite_trace
+    from repro.uarch.core import simulate_trace
 
     base = power5()
     table = Table(
@@ -151,7 +152,7 @@ def interleaving() -> Table:
     )
     for app in ("blast", "clustalw", "fasta", "hmmer"):
         separate = cached_characterize(app, "baseline", base)
-        mixed = characterize(app, "baseline", base, interleaved=True)
+        mixed = simulate_trace(composite_trace(app, "baseline"), base)
         delta = mixed.ipc / separate.ipc - 1
         table.add_row(
             app,

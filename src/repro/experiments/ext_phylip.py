@@ -22,7 +22,9 @@ from repro.bio.guidetree import upgma
 from repro.bio.msa import clustalw, pairwise_distance_matrix
 from repro.bio.phylo import fitch_score
 from repro.bio.workloads import make_family
+from repro.errors import SimulationError
 from repro.experiments.common import ExperimentResult
+from repro.isa.trace import Trace
 from repro.kernels import parsimony
 from repro.perf.report import Table, percent, signed_percent
 from repro.uarch.config import power5
@@ -58,9 +60,13 @@ def run() -> ExperimentResult:
     data: dict[str, float] = {}
     baseline_cycles = None
     for variant in VARIANTS:
-        trace: list = []
+        trace = Trace()
         score = parsimony.run(variant, tree, rows, symbols, trace=trace)
-        assert score == reference, "kernel semantics diverged"
+        if score != reference:
+            raise SimulationError(
+                f"parsimony {variant} scored {score}, but fitch_score "
+                f"gives {reference}: kernel semantics diverged"
+            )
         result = simulate_trace(trace, config)
         if baseline_cycles is None:
             baseline_cycles = result.cycles

@@ -11,13 +11,14 @@ headline observation from this figure.
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
+from repro.isa.trace import Trace
 from repro.perf.characterize import background_trace, kernel_trace
 from repro.perf.report import Table, percent
 from repro.uarch.config import power5
-from repro.uarch.core import Core
+from repro.uarch.core import simulate_trace
 
 
-def phased_trace() -> list:
+def phased_trace() -> Trace:
     """Clustalw's phase structure as one interleaved trace.
 
     Background (input parsing) -> pairwise kernel -> background (guide
@@ -40,7 +41,7 @@ def phased_trace() -> list:
 def run(interval_size: int = 8_000) -> ExperimentResult:
     """Simulate the phased Clustalw trace and report the time series."""
     trace = phased_trace()
-    result = Core(power5()).simulate(trace, interval_size=interval_size)
+    result = simulate_trace(trace, power5(), interval_size)
     table = Table(
         "Figure 2 - Clustalw IPC and branch misprediction rate vs time",
         ["Interval", "Instructions", "IPC", "Branch mispredict rate"],

@@ -403,9 +403,8 @@ def composite_trace(
 class AppCharacterisation:
     """Composite simulation outcome for (app, variant, config).
 
-    ``kernel`` and ``background`` hold per-component results when the
-    components were simulated separately; they are None for interleaved
-    runs (see :func:`characterize`'s ``interleaved`` flag).
+    ``kernel`` and ``background`` hold the per-component results; a
+    record built from a merged result alone carries None for both.
     """
 
     app: str
@@ -454,24 +453,22 @@ def characterize(
     app: str,
     variant: str = "baseline",
     config: CoreConfig | None = None,
-    interleaved: bool = False,
     stream: bool | None = None,
 ) -> AppCharacterisation:
-    """Simulate one application/variant/core combination.
+    """Simulate one application/variant/core combination, scalar.
 
-    With ``interleaved=False`` (default) the kernel and background run
-    on separate cores and the statistics are summed — fast, and each
-    component's numbers stay inspectable. ``interleaved=True`` runs the
-    chunk-interleaved composite stream through one core, so the
-    predictor/BTAC/cache see cross-phase interference.
+    The scalar reference for :func:`characterize_batched`, which the
+    engine's production path runs: the kernel and background traces
+    each go through a fresh :class:`~repro.uarch.core.Core` and the
+    statistics are summed, so each component's numbers stay
+    inspectable. Equality checks re-simulate through here to compare
+    the production results against the scalar loop.
 
-    ``stream`` (default: ``REPRO_STREAM``, on) drives the separate-core
-    path through :meth:`~repro.uarch.core.Core.simulate_stream` over a
-    pipelined segment iterator — trace decode/generation overlaps
-    simulation on a producer thread and only a bounded window of
-    segments is resident. Results are bit-identical either way; the
-    interleaved path always runs monolithically (its chunk merge needs
-    both whole traces).
+    ``stream`` (default: ``REPRO_STREAM``, on) drives each core through
+    :meth:`~repro.uarch.core.Core.simulate_stream` over a pipelined
+    segment iterator — trace decode/generation overlaps simulation on a
+    producer thread and only a bounded window of segments is resident.
+    Results are bit-identical either way.
     """
     if app not in APP_WORKLOADS:
         raise WorkloadError(
@@ -485,16 +482,6 @@ def characterize(
     baseline_instructions = (
         len(kernel_trace(app, "baseline")) + _background_length(app)
     )
-    if interleaved:
-        merged = Core(config).simulate(composite_trace(app, variant))
-        return AppCharacterisation(
-            app=app,
-            variant=variant,
-            kernel=None,
-            background=None,
-            merged=merged,
-            baseline_instructions=baseline_instructions,
-        )
     from repro.perf.stream import pipelined, resolve_stream
 
     if resolve_stream(stream):
@@ -532,8 +519,9 @@ def characterize_batched(
     shares a single frontend pass per group of configs with equal
     frontend state (predictor spec, BTAC geometry, cache geometry) and
     replays only the cheap timing recurrence per config. Results are
-    byte-identical to the sequential path — each config still sees
-    fresh predictor/BTAC/cache state.
+    byte-identical to the scalar path — each config still sees fresh
+    predictor/BTAC/cache state. One config is a valid batch: the
+    engine simulates every point through here.
 
     ``stream`` (default: ``REPRO_STREAM``, on) drives the shared pass
     through :func:`repro.uarch.batched.simulate_batched_stream` over a
@@ -543,8 +531,8 @@ def characterize_batched(
 
     Returns ``(characterisations, info)`` where ``info`` reports how
     many points took the shared-frontend path (``vectorized``) versus
-    the per-config scalar fallback (``fallback``), and whether the
-    native replay kernel ran.
+    the scalar fallback for traces the packed encoding cannot represent
+    (``fallback``), and whether the native replay kernel ran.
     """
     from repro.uarch.batched import simulate_batched, simulate_batched_stream
 

@@ -46,12 +46,15 @@ overflow int64 (the walk moves to Python, state and all, from that
 segment on), geometry that does not fit int64, ``REPRO_NATIVE=off``,
 and hosts with no C compiler (both halves).
 
-Fallback rules (per config, never per batch): traces whose static
-tables the packed meta encoding cannot represent, object-form event
-lists, and singleton frontend groups all take the existing scalar
-``Core.simulate`` path. Results are byte-identical either way — the
+Every frontend group, one config or many, runs the shared pass and
+the replay; ``simulate_trace`` and the engine's point-at-a-time path
+are one-config groups. Only traces the packed encoding cannot
+represent — object-form event lists, static tables with more than
+three sources — fall back to the scalar ``Core.simulate`` reference,
+for every config. Results are byte-identical either way — the
 golden-equality suite asserts it across predictor kinds, FXU counts,
-BTAC and cache geometries, under the native kernel and without it.
+BTAC and cache geometries and group sizes, with and without the
+native kernel.
 
 The per-event action byte (uint8):
 
@@ -93,7 +96,6 @@ from repro.uarch.core import (
     Core,
     IntervalRecord,
     SimResult,
-    _StreamState,
     columnar_supported,
 )
 from repro.uarch.guards import check_sim_result
@@ -165,8 +167,10 @@ class BatchOutcome:
     """What ``simulate_batched`` did, point by point."""
 
     results: list[SimResult]
-    #: Per config: True when the shared-frontend batched replay produced
-    #: the result, False when it fell back to scalar ``Core.simulate``.
+    #: Per config: True when the shared frontend pass and the replay
+    #: produced the result, False when the trace fell back to scalar
+    #: ``Core.simulate`` (an object-form event list, or a static table
+    #: the packed encoding cannot represent).
     batched: list[bool]
     #: Whether the native replay kernel ran (vs the Python replay).
     native: bool
@@ -1404,6 +1408,49 @@ def _replay(
     return results, native_used
 
 
+def _interval_plan(interval_size: int | None, n: int) -> tuple[int, int]:
+    """(interval length, whole intervals) over ``n`` events, as scalar."""
+    if interval_size is None:
+        return n, 0
+    segment = max(1, interval_size)
+    return segment, n // segment
+
+
+def _frontend_groups(configs: list[CoreConfig]) -> list[list[int]]:
+    """Config indices grouped by :func:`frontend_key`, first seen first."""
+    groups: dict[tuple, list[int]] = {}
+    for index, config in enumerate(configs):
+        groups.setdefault(frontend_key(config), []).append(index)
+    return list(groups.values())
+
+
+def _replay_groups(
+    meta: _StaticMeta,
+    passes,
+    configs: list[CoreConfig],
+    segment: int,
+    n_intervals: int,
+) -> BatchOutcome:
+    """Replay each ``(members, frontend)`` pair; assemble the outcome."""
+    results: list[SimResult | None] = [None] * len(configs)
+    native_used = native_frontend = False
+    for members, front in passes:
+        group_results, used_native = _replay(
+            meta, front, [configs[index] for index in members], segment,
+            n_intervals,
+        )
+        native_used = native_used or used_native
+        native_frontend = native_frontend or front.native
+        for index, result in zip(members, group_results):
+            results[index] = result
+    if guards_enabled():
+        for result, config in zip(results, configs):
+            check_sim_result(result, config)
+    return BatchOutcome(
+        results, [True] * len(configs), native_used, native_frontend
+    )
+
+
 def simulate_batched(
     trace,
     configs,
@@ -1414,53 +1461,32 @@ def simulate_batched(
     Equivalent to ``[Core(c).simulate(trace, interval_size) for c in
     configs]`` — byte-identical ``SimResult``s, fresh core state per
     config — but configs that share a frontend group walk the trace
-    once. Per-config scalar fallbacks (reported through
-    :class:`BatchOutcome.batched`): object-form event lists,
-    unsupported static tables, and singleton groups, where there is no
-    sharing to exploit and the scalar loop is the reference path.
+    once, and every group, one config or many, runs the shared pass
+    and the replay. Object-form event lists and static tables the
+    packed encoding cannot represent fall back to scalar
+    ``Core.simulate`` for every config (reported through
+    :class:`BatchOutcome.batched`).
     """
     configs = list(configs)
     if not configs:
         return BatchOutcome([], [], False)
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
-    results: list[SimResult | None] = [None] * len(configs)
-    batched = [False] * len(configs)
-    native_used = native_frontend = False
     meta = _static_meta(trace) if isinstance(trace, Trace) else None
-    groups: dict[tuple, list[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(frontend_key(config), []).append(index)
-    for members in groups.values():
-        if meta is None or len(members) < 2:
-            for index in members:
-                results[index] = Core(configs[index]).simulate(
-                    trace, interval_size
-                )
-            continue
-        n = meta.n
-        if interval_size is None:
-            segment = n
-            n_intervals = 0
-        else:
-            segment = interval_size if interval_size >= 1 else 1
-            n_intervals = n // segment
-        front = _frontend_pass(
-            trace, configs[members[0]], segment, n_intervals
+    if meta is None:
+        return BatchOutcome(
+            [Core(config).simulate(trace, interval_size)
+             for config in configs],
+            [False] * len(configs),
+            False,
         )
-        group_results, used_native = _replay(
-            meta, front, [configs[index] for index in members], segment,
-            n_intervals,
-        )
-        native_used = native_used or used_native
-        native_frontend = native_frontend or front.native
-        for index, result in zip(members, group_results):
-            results[index] = result
-            batched[index] = True
-        if guards_enabled():
-            for index in members:
-                check_sim_result(results[index], configs[index])
-    return BatchOutcome(results, batched, native_used, native_frontend)
+    segment, n_intervals = _interval_plan(interval_size, meta.n)
+    passes = (
+        (members, _frontend_pass(
+            trace, configs[members[0]], segment, n_intervals))
+        for members in _frontend_groups(configs)
+    )
+    return _replay_groups(meta, passes, configs, segment, n_intervals)
 
 
 def simulate_batched_stream(
@@ -1474,13 +1500,11 @@ def simulate_batched_stream(
     iterator of columnar :class:`Trace` segments (or event lists), such
     as the v3 tracestore's lazy reader or the segmented interpreter and
     synthetic generators, and every frontend group walks each segment
-    exactly once with carried predictor/BTAC/cache state. Results are
-    byte-identical to ``simulate_batched`` on the concatenated trace.
-    Singleton groups fall back to the scalar carried-state path
-    (:class:`~repro.uarch.core.Core`'s stream machinery) on the same
-    single walk; a stream whose static tables the columnar encoding
-    cannot represent is materialised and delegated to the monolithic
-    entry point, whose event-form fallback handles it.
+    exactly once with carried predictor/BTAC/cache state, one-config
+    groups included. Results are byte-identical to ``simulate_batched``
+    on the concatenated trace. A stream whose first static table the
+    columnar encoding cannot represent is materialised and delegated to
+    the monolithic entry point, whose scalar fallback handles it.
 
     Bounded-memory note: the timing replay needs the whole action and
     static-id columns, so this holds five bytes per event of packed
@@ -1509,28 +1533,11 @@ def simulate_batched_stream(
             merged.extend(candidate)
         return simulate_batched(merged, configs, interval_size)
 
-    chunk = 0
-    if interval_size is not None:
-        chunk = interval_size if interval_size >= 1 else 1
-
-    groups: dict[tuple, list[int]] = {}
-    for index, config in enumerate(configs):
-        groups.setdefault(frontend_key(config), []).append(index)
-    passes: list[tuple[list[int], _FrontendPass | _NativeFrontendPass]] = []
-    scalars: list[tuple[int, Core, _StreamState]] = []
-    for members in groups.values():
-        if len(members) < 2:
-            for index in members:
-                scalars.append((
-                    index,
-                    Core(configs[index]),
-                    _StreamState(configs[index]),
-                ))
-        else:
-            passes.append(
-                (members, _new_frontend(configs[members[0]], chunk))
-            )
-
+    chunk = 0 if interval_size is None else max(1, interval_size)
+    walkers = [
+        (members, _new_frontend(configs[members[0]], chunk))
+        for members in _frontend_groups(configs)
+    ]
     metas: list[_StaticMeta] = []
 
     def feed(segment: Trace) -> None:
@@ -1541,11 +1548,8 @@ def simulate_batched_stream(
                 "static tables (<= 3 sources per instruction)"
             )
         metas.append(meta)
-        for _, walker in passes:
+        for _, walker in walkers:
             walker.feed(segment)
-        for _, core, state in scalars:
-            core._simulate_columnar_segment(segment, interval_size, state)
-            state.compact(core.config.window)
 
     feed(first)
     for candidate in iterator:
@@ -1555,31 +1559,8 @@ def simulate_batched_stream(
             feed(candidate)
 
     meta = _concat_meta(metas)
-    n = meta.n
-    if interval_size is None:
-        segment = n
-        n_intervals = 0
-    else:
-        segment = chunk
-        n_intervals = n // segment
-
-    results: list[SimResult | None] = [None] * len(configs)
-    batched = [False] * len(configs)
-    native_used = native_frontend = False
-    for index, core, state in scalars:
-        results[index] = core._finalize_stream(state)
-    for members, walker in passes:
-        front = walker.finish(n_intervals)
-        group_results, used_native = _replay(
-            meta, front, [configs[index] for index in members], segment,
-            n_intervals,
-        )
-        native_used = native_used or used_native
-        native_frontend = native_frontend or front.native
-        for index, result in zip(members, group_results):
-            results[index] = result
-            batched[index] = True
-    if guards_enabled():
-        for index, config in enumerate(configs):
-            check_sim_result(results[index], config)
-    return BatchOutcome(results, batched, native_used, native_frontend)
+    segment, n_intervals = _interval_plan(interval_size, meta.n)
+    passes = (
+        (members, walker.finish(n_intervals)) for members, walker in walkers
+    )
+    return _replay_groups(meta, passes, configs, segment, n_intervals)

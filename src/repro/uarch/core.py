@@ -1159,9 +1159,16 @@ class _StreamState:
 
 
 def simulate_trace(
-    trace: list[TraceEvent],
+    trace: Trace | list[TraceEvent],
     config: CoreConfig | None = None,
     interval_size: int | None = None,
 ) -> SimResult:
-    """One-shot convenience: fresh :class:`Core`, one trace."""
-    return Core(config).simulate(trace, interval_size=interval_size)
+    """Fresh core, one trace: a one-config ``simulate_batched`` call.
+
+    ``Core(config).simulate`` is the scalar reference it matches.
+    """
+    from repro.uarch.batched import simulate_batched
+
+    return simulate_batched(
+        trace, [config or CoreConfig()], interval_size
+    ).results[0]

@@ -9,6 +9,7 @@ record per point, per-point (never batch-level) failures.
 
 import pytest
 
+from repro.engine import engine as engine_module
 from repro.engine import scheduler
 from repro.engine.engine import Engine
 from repro.engine.journal import load_run
@@ -20,8 +21,12 @@ from repro.engine.scheduler import (
     group_by_trace,
     resolve_batch,
 )
+from repro.engine.telemetry import SOURCE_SIMULATED
 from repro.errors import SweepError
+from repro.experiments import ablations, ext_phylip, fig2
+from repro.perf.characterize import characterize
 from repro.uarch.config import power5
+from repro.uarch.core import Core
 
 APP = "fasta"
 
@@ -134,6 +139,54 @@ class TestBatchedEqualsSequential:
         )
         assert all(result is not None for result in results)
         assert fresh_engine.stats.batch_sizes == []
+
+
+class TestScalarAnchor:
+    """Point-at-a-time sweeps run one-config kernel groups; the scalar
+    loop, through unstreamed ``characterize``, is their reference."""
+
+    POINTS = [
+        (app, variant, config)
+        for app in ("clustalw", "fasta")
+        for variant in ("baseline", "combination")
+        for config in (power5(), power5().with_btac())
+    ]
+
+    def test_unbatched_sweep_matches_scalar_characterize(
+        self, fresh_engine
+    ):
+        results = fresh_engine.characterize_many(
+            self.POINTS, jobs=1, batch=False
+        )
+        scalar = [
+            characterize(app, variant, config, stream=False)
+            for app, variant, config in self.POINTS
+        ]
+        assert _digests(results) == _digests(scalar)
+
+    @pytest.mark.parametrize("mode", ("native", "python"))
+    def test_one_config_callers_skip_the_scalar_loop(
+        self, mode, monkeypatch, fresh_engine
+    ):
+        """fig2, ext_phylip, the interleaving ablation and an engine
+        point all run in the shared pass and replay, with the kernel
+        and under REPRO_NATIVE=off."""
+        if mode == "python":
+            monkeypatch.setenv("REPRO_NATIVE", "off")
+        else:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+
+        def scalar_loop(*args, **kwargs):
+            raise AssertionError("entered the scalar loop")
+
+        monkeypatch.setattr(Core, "_simulate_columnar_segment", scalar_loop)
+        monkeypatch.setattr(Core, "_simulate_events", scalar_loop)
+        monkeypatch.setattr(engine_module, "_default_engine", fresh_engine)
+        fig2.run()
+        ext_phylip.run()
+        ablations.interleaving()
+        fresh_engine.characterize(APP, "combination", power5().with_btac())
+        assert fresh_engine.stats.points[-1].source == SOURCE_SIMULATED
 
 
 class TestCacheAndJournal:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.experiments import ablations, ext_phylip
 
 
@@ -22,6 +23,15 @@ class TestExtPhylip:
 
     def test_compiler_matches_combination(self, data):
         assert data["comp_isel"] == pytest.approx(data["combination"])
+
+    def test_diverged_score_raises_naming_the_variant(self, monkeypatch):
+        """The semantic check is a raised error, so ``python -O`` keeps
+        it."""
+        monkeypatch.setattr(
+            ext_phylip.parsimony, "run", lambda variant, *args, **kw: -1
+        )
+        with pytest.raises(SimulationError, match="parsimony baseline"):
+            ext_phylip.run()
 
 
 class TestAblations:

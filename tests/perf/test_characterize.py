@@ -8,9 +8,11 @@ from repro.perf.characterize import (
     VARIANTS,
     background_trace,
     characterize,
+    composite_trace,
     kernel_trace,
 )
 from repro.uarch.config import power5
+from repro.uarch.core import simulate_trace
 
 
 class TestTraces:
@@ -79,12 +81,6 @@ class TestCharacterize:
 
 class TestInterleaved:
     def test_composite_trace_contains_all_events(self):
-        from repro.perf.characterize import (
-            background_trace,
-            composite_trace,
-            kernel_trace,
-        )
-
         merged = composite_trace("fasta", "baseline")
         expected = len(kernel_trace("fasta", "baseline")) + len(
             background_trace("fasta")
@@ -95,19 +91,13 @@ class TestInterleaved:
         """Cross-phase interference exists but is small — the bound
         that justifies the separate-component default."""
         separate = characterize("fasta", "baseline", power5())
-        mixed = characterize(
-            "fasta", "baseline", power5(), interleaved=True
-        )
-        assert mixed.kernel is None
-        assert mixed.background is None
+        mixed = simulate_trace(composite_trace("fasta", "baseline"), power5())
         assert abs(mixed.ipc - separate.ipc) / separate.ipc < 0.05
 
     def test_interleaved_instruction_count_matches(self):
         separate = characterize("fasta", "baseline", power5())
-        mixed = characterize(
-            "fasta", "baseline", power5(), interleaved=True
-        )
-        assert mixed.merged.instructions == separate.merged.instructions
+        mixed = simulate_trace(composite_trace("fasta", "baseline"), power5())
+        assert mixed.instructions == separate.merged.instructions
 
 
 class TestZeroWorkConventions:

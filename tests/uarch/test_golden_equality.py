@@ -206,7 +206,8 @@ class TestBatchedGoldenEquality:
     timing from the recorded action stream; this matrix pins the whole
     serialised :class:`SimResult` — intervals included — to the scalar
     loop across predictor kinds, FXU counts and BTAC sizes, plus the
-    ragged case where one batch mixes vectorized and fallback points.
+    ragged case where one call mixes a shared group and a one-config
+    group, and the object-form input that falls back for every config.
     """
 
     def _batched_vs_sequential(self, trace, configs, interval_size=None):
@@ -256,10 +257,10 @@ class TestBatchedGoldenEquality:
         configs = [power5().with_fxus(fxus) for fxus in (2, 3, 4)]
         self._batched_vs_sequential(trace, configs, interval_size=1_000)
 
-    def test_ragged_batch_mixes_vectorized_and_fallback(self):
-        """One call, mixed outcome: a shared-frontend group batches,
-        a singleton group falls back to the scalar loop — results must
-        be identical either way."""
+    def test_ragged_groups_all_batch(self):
+        """One call, ragged groups: a three-config group and a
+        one-config group both run the shared pass and the replay, and
+        match the scalar loop."""
         _, trace = _traces("fasta", "baseline")
         configs = [
             power5().with_fxus(2),
@@ -270,9 +271,22 @@ class TestBatchedGoldenEquality:
             ),
         ]
         outcome = self._batched_vs_sequential(trace, configs)
-        assert outcome.vectorized == 3
-        assert outcome.fallback == 1
-        assert outcome.batched == [True, True, True, False]
+        assert outcome.batched == [True] * 4
+        assert outcome.fallback == 0
+
+    def test_object_form_list_falls_back_for_every_config(self):
+        """An event list has no packed encoding: every config, grouped
+        or alone, takes the scalar loop."""
+        events, _ = _traces("fasta", "baseline")
+        configs = [
+            power5().with_fxus(2),
+            power5().with_fxus(4),
+            power5().with_btac(),
+        ]
+        outcome = self._batched_vs_sequential(events, configs)
+        assert outcome.batched == [False] * 3
+        assert not outcome.native
+        assert not outcome.native_frontend
 
     def test_python_replay_matches_without_native_kernel(self, monkeypatch):
         """REPRO_NATIVE=off pins the pure-Python timing replay."""
@@ -308,10 +322,12 @@ class TestFrontendEquality:
     Each case runs a two-config timing group, so the shared frontend
     pass (native or Python, per the ``native`` fixture) produces both
     results, which must match ``Core.simulate`` — intervals included.
+    The one-config cases pin the fresh-core production path: a group
+    of one runs the same pass and replay.
     """
 
-    def _check(self, trace, config, interval_size=None):
-        configs = [config, config.with_fxus(4)]
+    def _check(self, trace, config, interval_size=None, group=2):
+        configs = [config, config.with_fxus(4)][:group]
         outcome = batched.simulate_batched(
             trace, configs, interval_size=interval_size
         )
@@ -322,6 +338,26 @@ class TestFrontendEquality:
         assert [result_to_dict(r) for r in outcome.results] == golden
         assert outcome.vectorized == len(configs)
         return outcome
+
+    @pytest.mark.parametrize(
+        "label,config", FRONTEND_CASES, ids=[c[0] for c in FRONTEND_CASES]
+    )
+    def test_one_config_group(self, label, config, native):
+        trace = generate_trace(12_000, MixProfile(), seed=81)
+        outcome = self._check(trace, config, interval_size=1_000, group=1)
+        assert outcome.native_frontend == outcome.native == native
+
+    @pytest.mark.parametrize("kind", PREDICTOR_KINDS)
+    def test_one_config_kind(self, kind, native):
+        """Kinds other than gshare walk in Python; the replay of the
+        one config stays native whenever the kernel loads."""
+        trace = generate_trace(12_000, MixProfile(), seed=85)
+        config = power5().with_btac().with_predictor(
+            kind, table_bits=10, history_bits=8
+        )
+        outcome = self._check(trace, config, interval_size=1_000, group=1)
+        assert outcome.native == native
+        assert outcome.native_frontend == (native and kind == "gshare")
 
     @pytest.mark.parametrize(
         "label,config", FRONTEND_CASES, ids=[c[0] for c in FRONTEND_CASES]

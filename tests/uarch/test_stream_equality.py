@@ -163,8 +163,8 @@ class TestBatchedStreamEquality:
         assert outcome.vectorized == 3
 
     def test_mixed_vectorized_and_singleton(self):
-        """A perceptron point joins the batch as a singleton group and
-        runs on the scalar carried-state path over the same walk."""
+        """A perceptron point joins the batch as a one-config group and
+        walks every segment with its own carried frontend state."""
         trace = _synthetic()
         configs = [
             power5().with_fxus(2),
@@ -173,7 +173,8 @@ class TestBatchedStreamEquality:
                 "perceptron", table_bits=10, history_bits=8
             ),
         ]
-        self._assert_matches(trace, configs, 977)
+        outcome = self._assert_matches(trace, configs, 977)
+        assert outcome.batched == [True] * 3
 
     def test_intervals(self):
         trace = _synthetic()
@@ -224,6 +225,19 @@ class TestBatchedStreamFrontends:
         outcome = self._assert_scalar(
             trace.segments(size), trace, configs, interval_size=1_000
         )
+        assert outcome.native_frontend == native
+        assert outcome.native == native
+
+    @pytest.mark.parametrize("size", (1, 700, 1_000, 10**9))
+    def test_group_of_one(self, size, native):
+        """A group of one streams through the same carried walk and
+        replay, and matches the scalar core itself."""
+        trace = _synthetic()
+        outcome = self._assert_scalar(
+            trace.segments(size), trace, [power5().with_btac()],
+            interval_size=1_000,
+        )
+        assert outcome.batched == [True]
         assert outcome.native_frontend == native
         assert outcome.native == native
 
