@@ -9,7 +9,9 @@ Every simulation request flows through three layers:
 3. the real pipeline — a one-config
    :func:`repro.perf.characterize.characterize_batched` call, the
    shared frontend pass and native replay — whose result is then
-   persisted and memoised.
+   persisted and memoised. The engine also memoises each app's
+   background result per config and hands that memo to the pipeline,
+   since the background is the same for every code variant.
 
 ``default_engine()`` is the process-wide instance the experiment
 drivers and the CLI share; it uses the process-wide persistent cache.
@@ -74,6 +76,9 @@ class Engine:
         # Telemetry reports the live cache counters, not a copy.
         self.stats.cache = self.cache.counters
         self._memo: dict[tuple[str, str, str], AppCharacterisation] = {}
+        #: ``(app, config) -> (background SimResult, batched)``: the
+        #: background is the same for every code variant of an app.
+        self._backgrounds: dict = {}
 
     # -- single points -----------------------------------------------------
 
@@ -117,7 +122,9 @@ class Engine:
             result = self._load_persistent(app, variant, digest)
             source = SOURCE_DISK
             if result is None:
-                (result,), _ = characterize_batched(app, variant, [config])
+                (result,), _ = characterize_batched(
+                    app, variant, [config], backgrounds=self._backgrounds
+                )
                 self.cache.store_result_payload(
                     app, variant, digest,
                     serialize.characterisation_to_dict(result),
@@ -152,6 +159,9 @@ class Engine:
         points that do need simulation run through
         :func:`repro.perf.characterize.characterize_batched`, so their
         shared workload trace is decoded and frontend-walked once.
+        Both this and :meth:`characterize` pass the engine's background
+        memo, so each app's background is simulated once per config
+        and reused by every other code variant of that app.
 
         Accelerator configs in the list are peeled off and served
         through :func:`repro.accel.lab.estimate_many` (one workload
@@ -208,7 +218,8 @@ class Engine:
         if pending:
             started = time.perf_counter()
             batch_results, info = characterize_batched(
-                app, variant, [configs[index] for index in pending]
+                app, variant, [configs[index] for index in pending],
+                backgrounds=self._backgrounds,
             )
             # One wall clock covers the whole batch; attribute it evenly
             # so per-point MIPS stays meaningful.
@@ -573,8 +584,11 @@ class Engine:
     # -- maintenance -------------------------------------------------------
 
     def clear(self, persistent: bool = False) -> int:
-        """Drop the memo; with ``persistent=True`` also the disk cache."""
+        """Drop the memo and the background memo, so the next point
+        simulates its background again; with ``persistent=True`` also
+        the disk cache."""
         self._memo.clear()
+        self._backgrounds.clear()
         removed = 0
         if persistent:
             removed = self.cache.clear()

@@ -14,7 +14,11 @@ The mixing ratio comes from the measured Figure 1 function breakout:
 ``kernel_weight`` is the fraction of dynamic instructions spent in the
 hot kernel for the *baseline* build. The background length is derived
 once from the baseline kernel length and then held fixed, so variants
-are compared on constant work.
+are compared on constant work. Being fixed, the background also gives
+the same result under one config for every variant:
+:func:`characterize_batched` takes a ``backgrounds`` memo, which each
+:class:`~repro.engine.engine.Engine` owns, and simulates the background
+only for the configs that memo lacks.
 
 ``characterize(app, variant, config)`` returns a merged
 :class:`~repro.uarch.core.SimResult`; ``work_cycles`` is the metric to
@@ -510,6 +514,7 @@ def characterize_batched(
     variant: str,
     configs: list[CoreConfig],
     stream: bool | None = None,
+    backgrounds: dict | None = None,
 ) -> tuple[list[AppCharacterisation], dict]:
     """Simulate one (app, variant) under many configs in one trace pass.
 
@@ -529,10 +534,20 @@ def characterize_batched(
     walk and the decoded trace never materialises; results stay
     byte-identical.
 
+    ``backgrounds``, when given, is a memo of ``(app, config) ->
+    (background SimResult, batched)`` entries. The background is the
+    same for every code variant, so the call reads the configs it holds
+    from it, simulates the others once each (in input order, one
+    batched call) and adds them to it; a call the memo fully covers
+    starts no background stream. Without a memo the call simulates the
+    background of every distinct config it is given.
+
     Returns ``(characterisations, info)`` where ``info`` reports how
     many points took the shared-frontend path (``vectorized``) versus
     the scalar fallback for traces the packed encoding cannot represent
-    (``fallback``), and whether the native replay kernel ran.
+    (``fallback``), counting a reused background by how it was
+    simulated, and whether the native kernel ran for any simulation the
+    call made (``native``).
     """
     from repro.uarch.batched import simulate_batched, simulate_batched_stream
 
@@ -550,16 +565,34 @@ def characterize_batched(
     )
     from repro.perf.stream import pipelined, resolve_stream
 
-    if resolve_stream(stream):
+    streaming = resolve_stream(stream)
+    if streaming:
         kernel_out = simulate_batched_stream(
             pipelined(kernel_trace_segments(app, variant)), configs
         )
-        background_out = simulate_batched_stream(
-            pipelined(background_trace_segments(app)), configs
-        )
     else:
         kernel_out = simulate_batched(kernel_trace(app, variant), configs)
-        background_out = simulate_batched(background_trace(app), configs)
+
+    # The background is the same for every variant: simulate only the
+    # configs the memo lacks, each once, and read the rest from it.
+    memo = {} if backgrounds is None else backgrounds
+    missing = list(dict.fromkeys(
+        config for config in configs if (app, config) not in memo
+    ))
+    background_native = False
+    if missing:
+        if streaming:
+            background_out = simulate_batched_stream(
+                pipelined(background_trace_segments(app)), missing
+            )
+        else:
+            background_out = simulate_batched(background_trace(app), missing)
+        background_native = background_out.native
+        for config, result, batched in zip(
+            missing, background_out.results, background_out.batched
+        ):
+            memo[(app, config)] = (result, batched)
+    background_entries = [memo[(app, config)] for config in configs]
     characterisations = [
         AppCharacterisation(
             app=app,
@@ -569,16 +602,16 @@ def characterize_batched(
             merged=merge_results([kernel_result, background_result]),
             baseline_instructions=baseline_instructions,
         )
-        for kernel_result, background_result in zip(
-            kernel_out.results, background_out.results
+        for kernel_result, (background_result, _) in zip(
+            kernel_out.results, background_entries
         )
     ]
     # A point counts as vectorized only when both component traces took
     # the shared-frontend path.
     vectorized = sum(
         1
-        for kernel_batched, background_batched in zip(
-            kernel_out.batched, background_out.batched
+        for kernel_batched, (_, background_batched) in zip(
+            kernel_out.batched, background_entries
         )
         if kernel_batched and background_batched
     )
@@ -586,6 +619,6 @@ def characterize_batched(
         "points": len(configs),
         "vectorized": vectorized,
         "fallback": len(configs) - vectorized,
-        "native": kernel_out.native or background_out.native,
+        "native": kernel_out.native or background_native,
     }
     return characterisations, info

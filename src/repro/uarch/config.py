@@ -132,6 +132,8 @@ class CacheConfig:
         sets = self.size_bytes // (self.line_bytes * self.ways)
         if sets < 1 or sets & (sets - 1):
             raise SimulationError("cache set count must be a power of two")
+        if self.hit_latency < 0 or self.miss_penalty < 0:
+            raise SimulationError("cache latencies must be >= 0")
 
     @property
     def sets(self) -> int:

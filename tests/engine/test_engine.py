@@ -14,6 +14,7 @@ from repro.engine.telemetry import (
     EngineStats,
     PointRecord,
 )
+from repro.errors import SimulationError
 from repro.uarch.config import power5
 
 APP = "fasta"
@@ -35,6 +36,27 @@ class TestMemo:
         first = fresh_engine.characterize(APP)
         second = fresh_engine.characterize(APP, "baseline", power5())
         assert second is first
+
+
+class TestConfigPayload:
+    """A journaled config payload goes through the same construction
+    checks as a config built in code."""
+
+    @pytest.mark.parametrize("path", (
+        ("taken_branch_penalty",),
+        ("btac", "wrong_target_penalty"),
+        ("cache", "hit_latency"),
+        ("cache", "miss_penalty"),
+    ))
+    def test_negative_penalty_rejected(self, path):
+        payload = serialize.config_to_dict(power5().with_btac())
+        *parents, field = path
+        target = payload
+        for parent in parents:
+            target = target[parent]
+        target[field] = -1
+        with pytest.raises(SimulationError):
+            serialize.config_from_dict(payload)
 
 
 class TestPersistence:

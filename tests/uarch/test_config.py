@@ -72,6 +72,12 @@ class TestValidation:
             # 3 sets: not a power of two
             CacheConfig(size_bytes=3 * 128 * 4, line_bytes=128, ways=4)
 
+    @pytest.mark.parametrize("field", ("hit_latency", "miss_penalty"))
+    def test_cache_latencies_non_negative(self, field):
+        with pytest.raises(SimulationError):
+            CacheConfig(**{field: -1})
+        assert getattr(CacheConfig(**{field: 0}), field) == 0
+
     def test_cache_sets(self):
         assert CacheConfig().sets == 64
 
