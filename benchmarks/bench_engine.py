@@ -169,7 +169,7 @@ def bench_engine_batched(benchmark, tmp_path_factory):
     assert [_result_digest(r) for r in batched_results] == [
         _result_digest(r) for r in sequential_results
     ], "batched sweep results are not byte-identical to sequential"
-    assert engine.stats.batched_points == len(points)
+    assert engine.stats.counters["batch.points"] == len(points)
     speedup = sequential_wall / batched_wall
     print(
         f"\nbatched sweep: {len(points)} configs on one trace | "
@@ -223,13 +223,13 @@ def _smoke() -> int:
     if batched != sequential:
         print("FAIL: batched sweep digests differ from sequential")
         return 1
-    stats = engine.stats
+    counters = engine.stats.counters
     print(
         f"{len(points)} configs on one clustalw trace | "
         f"sequential {sequential_wall:.2f}s | batched {batched_wall:.2f}s"
-        f" | groups {len(stats.batch_sizes)} | "
-        f"vectorized {stats.batch_vectorized} | "
-        f"fallback {stats.batch_fallback}"
+        f" | groups {counters.get('batch.groups', 0)} | "
+        f"vectorized {counters.get('batch.vectorized', 0)} | "
+        f"fallback {counters.get('batch.fallback', 0)}"
     )
     print("OK: batched sweep is digest-identical to sequential")
     return 0

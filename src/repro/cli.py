@@ -620,8 +620,8 @@ def cmd_runs(args) -> int:
                 len(state.failed),
                 len(state.unique_keys),
                 f"{state.age_seconds():.0f}",
-                (state.batch or {}).get("points", 0),
-                (state.stream or {}).get("segments_consumed", 0),
+                state.counters.get("batch.points", 0),
+                state.counters.get("stream.segments_consumed", 0),
                 len(state.workers),
             ))
         return 0
@@ -634,9 +634,8 @@ def cmd_runs(args) -> int:
          "Workers", "Age"],
     )
     for state in states:
-        batch = state.batch or {}
-        batched = batch.get("points", 0)
-        groups = batch.get("groups", 0)
+        batched = state.counters.get("batch.points", 0)
+        groups = state.counters.get("batch.groups", 0)
         table.add_row(
             state.run_id,
             state.status,

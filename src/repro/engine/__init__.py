@@ -18,8 +18,9 @@ Layers, bottom to top:
     JSON, under a versioned, configurable cache directory. Corrupted
     entries are evicted and regenerated, never fatal.
 ``telemetry``
-    Per-point wall time, cache hit/miss counters and simulated-MIPS,
-    renderable as a table or a machine-readable JSON summary.
+    Per-point wall time, cache hit/miss counters, simulated-MIPS and
+    named engine counters, renderable as tables or a machine-readable
+    JSON summary.
 ``journal``
     Durable run journal: every journaled ``fan_out`` appends fsync'd
     JSONL records under ``<cache_dir>/runs/``, torn-tail tolerant on

@@ -10,10 +10,11 @@ Traces use the :mod:`repro.isa.tracestore` **v3 segmented binary**
 format — "expensive to regenerate but cheap to re-simulate", and now
 also streamable frame by frame — and
 results the strict JSON schema of :mod:`repro.engine.serialize` (stored
-here as opaque dicts; the engine layer (de)serialises). Legacy v1/v2
-entries still load (and are rewritten as v3 on first read); the trace
+here as opaque dicts; the engine layer (de)serialises). The trace
 format version is folded into the source digest, so a format bump
-re-addresses every entry. Every read is corruption-safe: a
+re-addresses every entry and the cache only ever writes v3; a v1/v2
+file placed at a current path by hand still loads, as written. Every
+read is corruption-safe: a
 truncated, malformed or partially-written entry is evicted and treated
 as a miss, never raised to the caller.
 
@@ -53,7 +54,6 @@ from repro.isa.tracestore import (
     load_trace_columnar,
     open_trace_segments,
     save_trace_v3,
-    trace_format,
 )
 
 _DISABLE_VALUES = {"0", "off", "false", "no"}
@@ -189,10 +189,7 @@ class PersistentCache:
     def load_trace(self, app: str, variant: str) -> Trace | None:
         """The cached trace, or None (miss or evicted corruption).
 
-        Always returns the columnar form. A legacy v1/v2 entry is
-        transparently rewritten in place as segmented v3 binary, so a
-        cache populated by an older build upgrades itself on first
-        read.
+        Always returns the columnar form.
         """
         if not self.enabled:
             return None
@@ -201,14 +198,11 @@ class PersistentCache:
             self.counters.trace_misses += 1
             return None
         try:
-            stored_format = trace_format(path)
             trace = load_trace_columnar(path)
         except (ReproError, OSError, ValueError):
             self._evict(path)
             self.counters.trace_misses += 1
             return None
-        if stored_format != TRACE_FORMAT_VERSION:
-            self._atomic_write(path, lambda tmp: save_trace_v3(tmp, trace))
         self.counters.trace_hits += 1
         return trace
 
@@ -216,9 +210,8 @@ class PersistentCache:
         """A lazy segment iterator over the cached trace, or None.
 
         v3 entries stream frame by frame with O(segment) live memory
-        (legacy entries are upgraded to v3 first, through
-        :meth:`load_trace`'s rewrite-on-read, then streamed). Structural
-        problems surface as an eviction + miss exactly like
+        (a hand-placed v1/v2 entry is read whole and re-sliced).
+        Structural problems surface as an eviction + miss exactly like
         :meth:`load_trace` — but note that per-segment corruption in a
         lazy stream can only be detected when the bad frame is reached,
         so consumers see :class:`~repro.errors.InterpreterError` from
@@ -232,12 +225,6 @@ class PersistentCache:
             self.counters.trace_misses += 1
             return None
         try:
-            if trace_format(path) != TRACE_FORMAT_VERSION:
-                # Legacy entry: materialise + rewrite as v3, then
-                # stream the (now segmented) file.
-                if self.load_trace(app, variant) is None:
-                    return None
-                self.counters.trace_hits -= 1  # counted below
             segments = open_trace_segments(path)
         except (ReproError, OSError, ValueError):
             self._evict(path)

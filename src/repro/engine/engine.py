@@ -240,9 +240,10 @@ class Engine:
                     source=SOURCE_SIMULATED,
                 ))
                 results[index] = result
-            self.stats.batch_sizes.append(len(pending))
-            self.stats.batch_vectorized += info["vectorized"]
-            self.stats.batch_fallback += info["fallback"]
+            self.stats.count("batch.groups")
+            self.stats.count("batch.points", len(pending))
+            self.stats.count("batch.vectorized", info["vectorized"])
+            self.stats.count("batch.fallback", info["fallback"])
             self._drain_stream()
         return results
 
@@ -308,7 +309,7 @@ class Engine:
                     source=SOURCE_SIMULATED,
                 ))
                 results[index] = est
-            self.stats.accel_batched += info["shared"]
+            self.stats.count("accel.batched", info["shared"])
         return results
 
     def _load_persistent_accel(
@@ -337,23 +338,19 @@ class Engine:
         return result
 
     def _note_accel(self, est: AccelEstimate) -> None:
-        """Fold one served accelerator estimate into the telemetry."""
+        """Count one served accelerator estimate."""
         stats = self.stats
-        stats.accel_points += 1
-        if est.backend == "bioseal":
-            stats.accel_bioseal_points += 1
-        elif est.backend == "aphmm":
-            stats.accel_aphmm_points += 1
-        stats.accel_offload_cycles += est.result.host_cycles
-        stats.accel_transfer_cycles += est.result.transfer_cycles
+        stats.count("accel.points")
+        stats.count(f"accel.{est.backend}_points")
+        stats.count("accel.offload_cycles", est.result.host_cycles)
+        stats.count("accel.transfer_cycles", est.result.transfer_cycles)
 
     def _drain_stream(self) -> None:
-        """Fold finished streaming pipelines into this engine's stats."""
+        """Add finished streaming pipelines' counters to this engine's."""
         from repro.perf.stream import drain_stream_stats
 
-        drained = drain_stream_stats()
-        if drained is not None:
-            self.stats.merge_stream(drained.as_dict())
+        for name, value in drain_stream_stats().items():
+            self.stats.count(name, value)
 
     def _load_persistent(
         self, app: str, variant: str, digest: str

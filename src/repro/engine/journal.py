@@ -13,6 +13,12 @@ in-flight window and leaves a complete record of what ran:
   the point's canonical result payload so a resume can re-verify that
   the cached result it replays is byte-identical to what was journaled;
 * one ``point_failed`` record per point that exhausted its retries;
+* one ``counters`` record per attempt that counted anything, mapping
+  each engine counter name (:mod:`repro.engine.telemetry`) to how much
+  it grew during that attempt; the reader sums them into
+  ``RunState.counters``, and reads the ``batch_stats``,
+  ``stream_stats`` and ``accel_stats`` records of older journals into
+  the same dict under ``batch.``, ``stream.`` and ``accel.`` names;
 * a ``run_complete`` footer once the sweep has drained.
 
 Records are written one JSON object per line, flushed and fsync'd
@@ -75,14 +81,21 @@ RECORD_START = "run_start"
 RECORD_RESUMED = "run_resumed"
 RECORD_DONE = "point_done"
 RECORD_FAILED = "point_failed"
-RECORD_BATCH = "batch_stats"
-RECORD_STREAM = "stream_stats"
-RECORD_ACCEL = "accel_stats"
+RECORD_COUNTERS = "counters"
 RECORD_COMPLETE = "run_complete"
 RECORD_CLAIMED = "point_claimed"
 RECORD_HEARTBEAT = "point_heartbeat"
 RECORD_RELEASED = "point_released"
 RECORD_WORKER = "worker_stats"
+
+#: Per-feature counter records written before ``counters`` existed. The
+#: reader adds each field ``k`` to ``RunState.counters`` as
+#: ``<prefix>.k``, so older journals still list and resume.
+_LEGACY_COUNTER_RECORDS = {
+    "batch_stats": "batch",
+    "stream_stats": "stream",
+    "accel_stats": "accel",
+}
 
 #: ``RunState.status`` values (also what ``repro runs`` prints).
 STATUS_COMPLETE = "complete"
@@ -309,45 +322,19 @@ class RunJournal:
             **{key: int(value) for key, value in stats.items()},
         })
 
-    def record_batch_stats(self, stats: dict) -> None:
-        """Batched-simulation summary for this attempt (additive record).
+    def record_counters(self, counters: dict) -> None:
+        """This attempt's engine counter deltas (additive record).
 
-        ``stats`` carries the batch counters accumulated during the
-        sweep (groups, points, vectorized, fallback, decode reuse).
-        Older readers skip the record; the journal schema is unchanged.
-        """
-        self._append({
-            "record": RECORD_BATCH,
-            "run_id": self.run_id,
-            **{key: int(value) for key, value in stats.items()},
-        })
-
-    def record_stream_stats(self, stats: dict) -> None:
-        """Streaming-simulation summary for this attempt (additive).
-
-        ``stats`` carries the stream counters drained from
-        :mod:`repro.perf.stream` (streams, segments produced/consumed,
-        queue high-water mark, handoffs, peak segment bytes). Older
-        readers skip the record; the journal schema is unchanged.
-        """
-        self._append({
-            "record": RECORD_STREAM,
-            "run_id": self.run_id,
-            **{key: int(value) for key, value in stats.items()},
-        })
-
-    def record_accel_stats(self, stats: dict) -> None:
-        """Accelerator-offload summary for this attempt (additive).
-
-        ``stats`` carries the accel counters accumulated during the
-        sweep (points, batched, per-backend counts, offload/transfer
-        cycles). Older readers skip the record; the journal schema is
+        ``counters`` maps counter names to how much each grew during
+        the sweep. Older readers skip the record; the journal schema is
         unchanged.
         """
         self._append({
-            "record": RECORD_ACCEL,
+            "record": RECORD_COUNTERS,
             "run_id": self.run_id,
-            **{key: int(value) for key, value in stats.items()},
+            "counters": {
+                name: int(value) for name, value in counters.items()
+            },
         })
 
     def record_complete(self, failures: int) -> None:
@@ -405,16 +392,9 @@ class RunState:
     #: Failure count from the last ``run_complete`` footer.
     complete_failures: int = 0
     resumed: int = 0
-    #: Batched-simulation counters from the last ``batch_stats`` record
-    #: (``None`` when the run never batched / predates batching).
-    batch: dict | None = None
-    #: Streaming counters from the last ``stream_stats`` record
-    #: (``None`` when the run never streamed / predates streaming).
-    stream: dict | None = None
-    #: Accelerator counters from the last ``accel_stats`` record
-    #: (``None`` when the run never offloaded / predates the accel
-    #: subsystem).
-    accel: dict | None = None
+    #: Engine counters summed over every attempt's ``counters`` record
+    #: (and the legacy per-feature records).
+    counters: dict[str, int] = field(default_factory=dict)
     #: Live/last lease per claimed point (dropped on ``point_done``).
     claims: dict[tuple[str, str, str], Lease] = field(default_factory=dict)
     #: Per-worker drain counters from ``worker_stats`` records.
@@ -667,24 +647,15 @@ def _apply_record(state: RunState, payload: dict, index: int) -> None:
             for key, value in payload.items()
             if key not in ("record", "run_id", "worker")
         }
-    elif kind == RECORD_BATCH:
-        state.batch = {
-            key: int(value)
+    elif kind == RECORD_COUNTERS:
+        _add_counters(state, payload["counters"].items())
+    elif kind in _LEGACY_COUNTER_RECORDS:
+        prefix = _LEGACY_COUNTER_RECORDS[kind]
+        _add_counters(state, (
+            (f"{prefix}.{key}", value)
             for key, value in payload.items()
             if key not in ("record", "run_id")
-        }
-    elif kind == RECORD_STREAM:
-        state.stream = {
-            key: int(value)
-            for key, value in payload.items()
-            if key not in ("record", "run_id")
-        }
-    elif kind == RECORD_ACCEL:
-        state.accel = {
-            key: int(value)
-            for key, value in payload.items()
-            if key not in ("record", "run_id")
-        }
+        ))
     elif kind == RECORD_COMPLETE:
         state.complete = True
         state.complete_failures = int(payload.get("failures", 0))
@@ -695,6 +666,11 @@ def _apply_record(state: RunState, payload: dict, index: int) -> None:
         state.complete = False
     # Unknown record types from same-or-older schemas are skipped, so
     # minor additive changes stay readable.
+
+
+def _add_counters(state: RunState, items) -> None:
+    for name, value in items:
+        state.counters[name] = state.counters.get(name, 0) + int(value)
 
 
 def load_run(cache_root: Path | str, run_id: str) -> RunState:

@@ -228,7 +228,7 @@ def _prewarm_traces(tasks, engine) -> None:
             background_trace(app)
         except Exception:
             continue
-        engine.stats.decode_reuse_hits += len(group) - 1
+        engine.stats.count("batch.decode_reuse_hits", len(group) - 1)
 
 
 def _pool_context():
@@ -460,61 +460,6 @@ def _journal_done(journal, key, result) -> None:
         journal.record_point_done(key, _result_digest(result))
 
 
-def _batch_counters(engine) -> dict:
-    """Snapshot of the engine's batched-simulation telemetry counters.
-
-    Taken before and after a sweep so the run journal records only this
-    sweep's contribution (the engine's stats accumulate across sweeps).
-    """
-    stats = engine.stats
-    return {
-        "groups": len(stats.batch_sizes),
-        "points": stats.batched_points,
-        "vectorized": stats.batch_vectorized,
-        "fallback": stats.batch_fallback,
-        "decode_reuse_hits": stats.decode_reuse_hits,
-    }
-
-
-def _stream_counters(engine) -> dict:
-    """Snapshot of the engine's streaming-simulation telemetry.
-
-    Additive counters journal as this-sweep deltas; the two high-water
-    marks (queue depth, segment bytes) journal as their current values.
-    """
-    stats = engine.stats
-    return {
-        "streams": stats.stream_streams,
-        "segments_produced": stats.stream_segments_produced,
-        "segments_consumed": stats.stream_segments_consumed,
-        "handoffs": stats.stream_handoffs,
-        "queue_peak": stats.stream_queue_peak,
-        "peak_segment_bytes": stats.stream_peak_segment_bytes,
-    }
-
-
-_STREAM_ADDITIVE = (
-    "streams", "segments_produced", "segments_consumed", "handoffs",
-)
-
-
-def _accel_counters(engine) -> dict:
-    """Snapshot of the engine's accelerator-offload telemetry counters.
-
-    Taken before and after a sweep so the run journal records only this
-    sweep's contribution (every counter is additive).
-    """
-    stats = engine.stats
-    return {
-        "points": stats.accel_points,
-        "batched": stats.accel_batched,
-        "bioseal_points": stats.accel_bioseal_points,
-        "aphmm_points": stats.accel_aphmm_points,
-        "offload_cycles": stats.accel_offload_cycles,
-        "transfer_cycles": stats.accel_transfer_cycles,
-    }
-
-
 def _journal_failed(journal, key, failure) -> None:
     if journal is not None:
         journal.record_point_failed(
@@ -679,7 +624,7 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
         _shutdown_pool(pool, kill=kill)
         pool = None
         rebuilds += 1
-        engine.stats.pool_rebuilds += 1
+        engine.stats.count("recovery.pool_rebuilds")
 
     try:
         while queue or in_flight:
@@ -694,7 +639,7 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
             if pool is None:
                 if rebuilds > max_rebuilds:
                     # The pool keeps dying: finish the remainder serially.
-                    engine.stats.serial_fallbacks += 1
+                    engine.stats.count("recovery.serial_fallbacks")
                     remaining = list(queue)
                     queue.clear()
                     failures.update(
@@ -918,9 +863,9 @@ def fan_out(
 
     serial_notes: list[str] = []
     failures: dict = {}
-    before = _batch_counters(engine)
-    stream_before = _stream_counters(engine)
-    accel_before = _accel_counters(engine)
+    # The engine's counters accumulate across sweeps; the journal
+    # records this sweep's share.
+    before = dict(engine.stats.counters)
     try:
         if pending:
             tasks = list(pending.values())
@@ -949,30 +894,13 @@ def fan_out(
                         journal=journal_obj, watch=watch,
                     )
         if journal_obj is not None:
-            after = _batch_counters(engine)
             delta = {
-                key: after[key] - before[key] for key in after
+                name: value - before.get(name, 0)
+                for name, value in engine.stats.counters.items()
+                if value != before.get(name, 0)
             }
-            if any(delta.values()):
-                journal_obj.record_batch_stats(delta)
-            stream_after = _stream_counters(engine)
-            stream_delta = {
-                key: stream_after[key] - stream_before[key]
-                for key in _STREAM_ADDITIVE
-            }
-            if any(stream_delta.values()):
-                stream_delta["queue_peak"] = stream_after["queue_peak"]
-                stream_delta["peak_segment_bytes"] = (
-                    stream_after["peak_segment_bytes"]
-                )
-                journal_obj.record_stream_stats(stream_delta)
-            accel_after = _accel_counters(engine)
-            accel_delta = {
-                key: accel_after[key] - accel_before[key]
-                for key in accel_after
-            }
-            if any(accel_delta.values()):
-                journal_obj.record_accel_stats(accel_delta)
+            if delta:
+                journal_obj.record_counters(delta)
             journal_obj.record_complete(len(failures))
     except _Interrupted as stop:
         unique = list(dict.fromkeys(keys))

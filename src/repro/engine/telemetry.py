@@ -1,9 +1,17 @@
-"""Engine telemetry: per-point wall time, cache traffic, simulated MIPS.
+"""Engine telemetry: per-point wall time, cache traffic, simulated MIPS
+and named event counters.
 
 Telemetry is collected out-of-band from the experiment data so that a
 parallel run renders byte-identically to a serial one: wall times go in
 the telemetry report (tables / JSON summary), never in
 :meth:`ExperimentResult.render` output.
+
+Every other engine event is a counter with a dotted ``<area>.<event>``
+name, added by :meth:`EngineStats.count` where the event happens (the
+names are listed in ``docs/engine.md``). Counters are summed on merge,
+written as one ``counters`` block in the JSON (schema 10), rendered as
+one "Engine counters" table and journaled per sweep as one
+``counters`` record (:mod:`repro.engine.journal`).
 """
 
 from __future__ import annotations
@@ -92,54 +100,21 @@ class EngineStats:
     memo_hits: int = 0
     cache: CacheCounters = field(default_factory=CacheCounters)
     jobs: int = 1
-    pool_rebuilds: int = 0
-    serial_fallbacks: int = 0
     #: Execution-context caveats (for instance "timeouts not enforced
     #: on the serial path"), deduplicated, preserved across merges.
     notes: list[str] = field(default_factory=list)
-    #: Batched simulation: per-group point counts for the groups that
-    #: actually ran through ``simulate_batched`` (memo/disk hits are
-    #: peeled off first and never appear here).
-    batch_sizes: list[int] = field(default_factory=list)
-    #: Points that took the shared-frontend batched replay.
-    batch_vectorized: int = 0
-    #: Points inside a batch that fell back to scalar ``Core.simulate``.
-    batch_fallback: int = 0
-    #: Trace decodes avoided by the scheduler's per-sweep prewarm: for
-    #: every group of pending points sharing a workload trace, all but
-    #: the first reuse the in-memory decode instead of re-inflating the
-    #: tracestore blob.
-    decode_reuse_hits: int = 0
-    #: Streaming simulation (``REPRO_STREAM``): pipelined
-    #: generate→simulate runs that went through ``repro.perf.stream``.
-    stream_streams: int = 0
-    stream_segments_produced: int = 0
-    stream_segments_consumed: int = 0
-    #: Deepest the bounded producer/consumer queue ever got.
-    stream_queue_peak: int = 0
-    #: Carried-state segment handoffs into streaming consumers.
-    stream_handoffs: int = 0
-    #: Largest single in-flight segment (packed column bytes).
-    stream_peak_segment_bytes: int = 0
-    #: Accelerator offload (``repro.accel``, schema 8): estimates served
-    #: (disk, simulated, or journal-replayed — memo hits excluded, same
-    #: as core points).
-    accel_points: int = 0
-    #: Accelerator estimates that shared a workload-batch construction
-    #: inside ``estimate_many`` (the accel analogue of batched sims).
-    accel_batched: int = 0
-    accel_bioseal_points: int = 0
-    accel_aphmm_points: int = 0
-    #: Host-equivalent cycles the served estimates priced.
-    accel_offload_cycles: int = 0
-    #: Host cycles of that total spent on host<->device data movement.
-    accel_transfer_cycles: int = 0
+    #: Named event counters (module docstring), summed on merge.
+    counters: dict[str, int] = field(default_factory=dict)
 
     def record(self, point: PointRecord) -> None:
         self.points.append(point)
 
     def record_failure(self, failure: PointFailure) -> None:
         self.failures.append(failure)
+
+    def count(self, name: str, value: int = 1) -> None:
+        """Add ``value`` to the counter ``name``."""
+        self.counters[name] = self.counters.get(name, 0) + value
 
     def note(self, message: str) -> None:
         """Attach a caveat once (repeats are dropped)."""
@@ -152,44 +127,10 @@ class EngineStats:
         self.failures.extend(other.failures)
         self.memo_hits += other.memo_hits
         self.cache.merge(other.cache)
-        self.pool_rebuilds += other.pool_rebuilds
-        self.serial_fallbacks += other.serial_fallbacks
-        self.batch_sizes.extend(other.batch_sizes)
-        self.batch_vectorized += other.batch_vectorized
-        self.batch_fallback += other.batch_fallback
-        self.decode_reuse_hits += other.decode_reuse_hits
-        self.stream_streams += other.stream_streams
-        self.stream_segments_produced += other.stream_segments_produced
-        self.stream_segments_consumed += other.stream_segments_consumed
-        self.stream_queue_peak = max(
-            self.stream_queue_peak, other.stream_queue_peak
-        )
-        self.stream_handoffs += other.stream_handoffs
-        self.stream_peak_segment_bytes = max(
-            self.stream_peak_segment_bytes, other.stream_peak_segment_bytes
-        )
-        self.accel_points += other.accel_points
-        self.accel_batched += other.accel_batched
-        self.accel_bioseal_points += other.accel_bioseal_points
-        self.accel_aphmm_points += other.accel_aphmm_points
-        self.accel_offload_cycles += other.accel_offload_cycles
-        self.accel_transfer_cycles += other.accel_transfer_cycles
+        for name, value in other.counters.items():
+            self.count(name, value)
         for message in other.notes:
             self.note(message)
-
-    def merge_stream(self, stream: dict) -> None:
-        """Fold a drained ``StreamStats`` payload (dict form) into this."""
-        self.stream_streams += stream.get("streams", 0)
-        self.stream_segments_produced += stream.get("segments_produced", 0)
-        self.stream_segments_consumed += stream.get("segments_consumed", 0)
-        self.stream_queue_peak = max(
-            self.stream_queue_peak, stream.get("queue_peak", 0)
-        )
-        self.stream_handoffs += stream.get("handoffs", 0)
-        self.stream_peak_segment_bytes = max(
-            self.stream_peak_segment_bytes,
-            stream.get("peak_segment_bytes", 0),
-        )
 
     @property
     def total_wall_seconds(self) -> float:
@@ -206,61 +147,15 @@ class EngineStats:
             return 0.0
         return self.total_instructions / wall / 1e6
 
-    @property
-    def batched_points(self) -> int:
-        """Points simulated inside batched groups (vectorized + fallback)."""
-        return sum(self.batch_sizes)
-
-    def merge_accel(self, counters: dict) -> None:
-        """Fold a journaled ``accel_stats`` payload into this.
-
-        Tolerant of missing keys the same way the other journal folds
-        are: a journal written before the accelerator subsystem simply
-        contributes nothing.
-        """
-        self.accel_points += counters.get("points", 0)
-        self.accel_batched += counters.get("batched", 0)
-        self.accel_bioseal_points += counters.get("bioseal_points", 0)
-        self.accel_aphmm_points += counters.get("aphmm_points", 0)
-        self.accel_offload_cycles += counters.get("offload_cycles", 0)
-        self.accel_transfer_cycles += counters.get("transfer_cycles", 0)
-
     def to_dict(self) -> dict:
         return {
-            "schema": 9,
+            "schema": 10,
             "jobs": self.jobs,
             "points": [point.to_dict() for point in self.points],
             "failures": [failure.to_dict() for failure in self.failures],
             "cache": {**self.cache.to_dict(), "memo_hits": self.memo_hits},
             "notes": list(self.notes),
-            "recovery": {
-                "pool_rebuilds": self.pool_rebuilds,
-                "serial_fallbacks": self.serial_fallbacks,
-            },
-            "batch": {
-                "groups": len(self.batch_sizes),
-                "points": self.batched_points,
-                "vectorized": self.batch_vectorized,
-                "fallback": self.batch_fallback,
-                "decode_reuse_hits": self.decode_reuse_hits,
-                "sizes": list(self.batch_sizes),
-            },
-            "stream": {
-                "streams": self.stream_streams,
-                "segments_produced": self.stream_segments_produced,
-                "segments_consumed": self.stream_segments_consumed,
-                "queue_peak": self.stream_queue_peak,
-                "handoffs": self.stream_handoffs,
-                "peak_segment_bytes": self.stream_peak_segment_bytes,
-            },
-            "accel": {
-                "points": self.accel_points,
-                "batched": self.accel_batched,
-                "bioseal_points": self.accel_bioseal_points,
-                "aphmm_points": self.accel_aphmm_points,
-                "offload_cycles": self.accel_offload_cycles,
-                "transfer_cycles": self.accel_transfer_cycles,
-            },
+            "counters": dict(self.counters),
             "totals": {
                 "points": len(self.points),
                 "failures": len(self.failures),
@@ -298,49 +193,15 @@ class EngineStats:
             f"{self.aggregate_mips:.2f}",
         )
         blocks = [summary.render()]
-        if self.batch_sizes or self.decode_reuse_hits:
-            batch = Table(
-                "Batched simulation",
-                ["Groups", "Batched points", "Vectorized", "Fallback",
-                 "Decode reuse"],
-            )
-            batch.add_row(
-                len(self.batch_sizes),
-                self.batched_points,
-                self.batch_vectorized,
-                self.batch_fallback,
-                self.decode_reuse_hits,
-            )
-            blocks.append(batch.render())
-        if self.stream_streams:
-            stream = Table(
-                "Streaming simulation",
-                ["Streams", "Segments", "Queue peak", "Handoffs",
-                 "Peak segment (KiB)"],
-            )
-            stream.add_row(
-                self.stream_streams,
-                self.stream_segments_consumed,
-                self.stream_queue_peak,
-                self.stream_handoffs,
-                f"{self.stream_peak_segment_bytes / 1024:.1f}",
-            )
-            blocks.append(stream.render())
-        if self.accel_points:
-            accel = Table(
-                "Accelerator offload",
-                ["Estimates", "Batched", "BioSEAL", "ApHMM",
-                 "Host cycles", "Transfer cycles"],
-            )
-            accel.add_row(
-                self.accel_points,
-                self.accel_batched,
-                self.accel_bioseal_points,
-                self.accel_aphmm_points,
-                self.accel_offload_cycles,
-                self.accel_transfer_cycles,
-            )
-            blocks.append(accel.render())
+        counted = [
+            (name, value) for name, value in sorted(self.counters.items())
+            if value
+        ]
+        if counted:
+            counters = Table("Engine counters", ["Counter", "Value"])
+            for name, value in counted:
+                counters.add_row(name, value)
+            blocks.append(counters.render())
         if self.notes:
             blocks.append(
                 "\n".join(f"note: {message}" for message in self.notes)

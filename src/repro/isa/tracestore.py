@@ -35,8 +35,7 @@ memory (:class:`SegmentedTraceReader` / :func:`open_trace_segments`)
 
 :func:`load_trace` sniffs the magic and accepts any format; the
 engine's persistent cache writes v3 only (see
-:data:`TRACE_FORMAT_VERSION`, which is folded into the cache digest)
-and rewrites v1/v2 entries on read.
+:data:`TRACE_FORMAT_VERSION`, which is folded into the cache digest).
 Every structural problem — wrong magic, truncation, trailing garbage,
 out-of-range ids, CRC or digest mismatch — raises
 :class:`~repro.errors.InterpreterError`, so callers (the engine cache)
@@ -687,8 +686,8 @@ def open_trace_segments(
     backing file handle closes when the iterator is exhausted or
     dropped. v1/v2 files have no segment index, so they are
     materialised once and re-sliced into ``segment_events``-sized
-    zero-copy views (compat path; the engine cache rewrites old
-    entries to v3 on read, so this stays cold).
+    zero-copy views (compat path; the engine cache writes only v3, so
+    this stays cold).
     """
     if trace_format(path) == 3:
         reader = SegmentedTraceReader(path)

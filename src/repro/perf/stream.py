@@ -19,10 +19,10 @@ the whole trace:
   thread, so the interpreter's pure-Python decode work interleaves
   with the simulator's loop at I/O and allocation points, and the
   queue depth bounds how many segments exist at once;
-* :class:`StreamStats` accumulates run-wide streaming telemetry
-  (segments produced/consumed, queue high-water mark, carried-state
-  handoffs, peak segment bytes) that the engine journals and renders
-  next to the batch block.
+* every pipeline adds its ``stream.streams``,
+  ``stream.segments_produced`` and ``stream.segments_consumed`` counts
+  to a locked module accumulator, which the engine empties with
+  :func:`drain_stream_stats` into its telemetry counters.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import os
 import queue
 import sys
 import threading
-from dataclasses import dataclass, field
 
 from repro.errors import WorkloadError
 
@@ -88,71 +87,18 @@ def segment_events(override: int | None = None) -> int:
     return override
 
 
-@dataclass
-class StreamStats:
-    """Run-wide streaming telemetry (additive across pipelines)."""
-
-    segments_produced: int = 0
-    segments_consumed: int = 0
-    queue_peak: int = 0
-    handoffs: int = 0
-    peak_segment_bytes: int = 0
-    streams: int = 0
-
-    def merge(self, other: "StreamStats") -> None:
-        self.segments_produced += other.segments_produced
-        self.segments_consumed += other.segments_consumed
-        self.queue_peak = max(self.queue_peak, other.queue_peak)
-        self.handoffs += other.handoffs
-        self.peak_segment_bytes = max(
-            self.peak_segment_bytes, other.peak_segment_bytes
-        )
-        self.streams += other.streams
-
-    def as_dict(self) -> dict:
-        return {
-            "streams": self.streams,
-            "segments_produced": self.segments_produced,
-            "segments_consumed": self.segments_consumed,
-            "queue_peak": self.queue_peak,
-            "handoffs": self.handoffs,
-            "peak_segment_bytes": self.peak_segment_bytes,
-        }
-
-    def __bool__(self) -> bool:
-        return self.streams > 0
+#: Run-wide ``stream.*`` counters, drained by the engine after each run.
+_COUNTERS: dict[str, int] = {}
+_COUNTERS_LOCK = threading.Lock()
 
 
-#: Module-level accumulator drained by the engine after each run.
-_ACTIVE = StreamStats()
-_ACTIVE_LOCK = threading.Lock()
-
-
-def record_stream(stats: StreamStats) -> None:
-    """Fold one pipeline's stats into the run-wide accumulator."""
-    with _ACTIVE_LOCK:
-        _ACTIVE.merge(stats)
-
-
-def drain_stream_stats() -> StreamStats | None:
-    """Hand off and reset the accumulated stats (None when untouched)."""
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        if not _ACTIVE:
-            return None
-        drained = _ACTIVE
-        _ACTIVE = StreamStats()
+def drain_stream_stats() -> dict[str, int]:
+    """Hand off and reset the accumulated counters (empty when no
+    pipeline ran since the last drain)."""
+    global _COUNTERS
+    with _COUNTERS_LOCK:
+        drained, _COUNTERS = _COUNTERS, {}
     return drained
-
-
-def _segment_bytes(segment) -> int:
-    """Approximate resident size of one columnar segment's event data."""
-    try:
-        n = len(segment)
-    except TypeError:
-        return 0
-    # pc/next_pc/address are int64, sid int32, flags uint8: 29 B/event.
-    return n * 29
 
 
 class _Poison:
@@ -164,11 +110,7 @@ class _Poison:
         self.error = error
 
 
-def pipelined(
-    segments,
-    depth: int = DEFAULT_QUEUE_DEPTH,
-    stats: StreamStats | None = None,
-):
+def pipelined(segments, depth: int = DEFAULT_QUEUE_DEPTH):
     """Run a segment producer on its own thread, bounded by ``depth``.
 
     Wraps any segment iterator in a producer thread plus a bounded
@@ -178,15 +120,12 @@ def pipelined(
     re-raised at the consumer's next pull (after in-flight segments
     drain), preserving the sequential path's error surface; if the
     consumer abandons the iterator early, the producer is unblocked
-    and joined.
-
-    When ``stats`` is given it is updated in place and folded into the
-    run-wide accumulator once the stream finishes.
+    and joined. Once the stream finishes, its segment counts are added
+    to the run-wide counters (:func:`drain_stream_stats`).
     """
     if depth < 1:
         raise WorkloadError(f"pipeline depth must be positive, got {depth}")
-    local = stats if stats is not None else StreamStats()
-    local.streams += 1
+    produced = consumed = 0
     channel: queue.Queue = queue.Queue(maxsize=depth)
     abandoned = threading.Event()
     #: The producer's terminal exception, visible to the close path even
@@ -206,12 +145,10 @@ def pipelined(
         return False
 
     def produce() -> None:
+        nonlocal produced
         try:
             for segment in segments:
-                local.segments_produced += 1
-                local.peak_segment_bytes = max(
-                    local.peak_segment_bytes, _segment_bytes(segment)
-                )
+                produced += 1
                 if not offer(segment):
                     return
             offer(_Poison())
@@ -225,15 +162,13 @@ def pipelined(
     producer.start()
     try:
         while True:
-            local.queue_peak = max(local.queue_peak, channel.qsize())
             item = channel.get()
             if isinstance(item, _Poison):
                 if item.error is not None:
                     delivered = True
                     raise item.error
                 break
-            local.segments_consumed += 1
-            local.handoffs += 1
+            consumed += 1
             yield item
     finally:
         abandoned.set()
@@ -244,7 +179,13 @@ def pipelined(
             except queue.Empty:
                 break
         producer.join(JOIN_TIMEOUT_SECONDS)
-        record_stream(local)
+        with _COUNTERS_LOCK:
+            for name, value in (
+                ("stream.streams", 1),
+                ("stream.segments_produced", produced),
+                ("stream.segments_consumed", consumed),
+            ):
+                _COUNTERS[name] = _COUNTERS.get(name, 0) + value
         if producer.is_alive():
             raise WorkloadError(
                 "stream producer thread failed to stop within "

@@ -63,12 +63,12 @@ class TestRouting:
         fresh_engine.characterize(
             "hmmer", "baseline", aphmm().with_class("A")
         )
-        stats = fresh_engine.stats
-        assert stats.accel_points == 2
-        assert stats.accel_bioseal_points == 1
-        assert stats.accel_aphmm_points == 1
-        assert stats.accel_offload_cycles > 0
-        assert stats.accel_transfer_cycles > 0
+        counters = fresh_engine.stats.counters
+        assert counters["accel.points"] == 2
+        assert counters["accel.bioseal_points"] == 1
+        assert counters["accel.aphmm_points"] == 1
+        assert counters["accel.offload_cycles"] > 0
+        assert counters["accel.transfer_cycles"] > 0
 
 
 class TestMixedSweeps:
@@ -128,7 +128,7 @@ class TestResume:
             canonical(b) for b in outcome.results
         ]
         # Replayed estimates re-arm the offload telemetry.
-        assert resumed_engine.stats.accel_points == 3
+        assert resumed_engine.stats.counters["accel.points"] == 3
 
     def test_resume_reroutes_evicted_accel_points(
         self, tmp_path, restore_globals

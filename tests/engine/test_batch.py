@@ -39,6 +39,13 @@ def _digests(results):
     return [_result_digest(result) for result in results]
 
 
+def batch_counters(counters):
+    return {
+        name: value for name, value in counters.items()
+        if name.startswith("batch.")
+    }
+
+
 def _passthrough_worker(task):
     """Module-level (picklable) stand-in for a test-instrumented worker."""
     return scheduler._characterize_worker(task)
@@ -98,10 +105,13 @@ class TestBatchedEqualsSequential:
         engine = Engine(cache_dir=tmp_path / "bat")
         batched = engine.characterize_many(_points(), jobs=1, batch=True)
         assert _digests(batched) == _digests(sequential)
-        assert engine.stats.batch_sizes == [3]
-        assert engine.stats.batched_points == 3
-        assert engine.stats.batch_vectorized == 3
-        assert engine.stats.batch_fallback == 0
+        assert batch_counters(engine.stats.counters) == {
+            "batch.groups": 1,
+            "batch.points": 3,
+            "batch.vectorized": 3,
+            "batch.fallback": 0,
+            "batch.decode_reuse_hits": 2,
+        }
 
     def test_pool_sweep_digest_identical(self, tmp_path, restore_globals):
         from repro.engine import cache as cache_module
@@ -120,7 +130,8 @@ class TestBatchedEqualsSequential:
         # Worker telemetry merged back: one record per point, and both
         # groups' batch counters are visible in the parent.
         assert len(engine.stats.points) == len(points)
-        assert sorted(engine.stats.batch_sizes) == [2, 3]
+        assert engine.stats.counters["batch.groups"] == 2
+        assert engine.stats.counters["batch.points"] == 5
 
     def test_env_kill_switch_disables_batching(
         self, monkeypatch, fresh_engine
@@ -128,8 +139,8 @@ class TestBatchedEqualsSequential:
         monkeypatch.setenv("REPRO_BATCH", "off")
         results = fresh_engine.characterize_many(_points(), jobs=1)
         assert all(result is not None for result in results)
-        assert fresh_engine.stats.batch_sizes == []
-        assert fresh_engine.stats.batched_points == 0
+        assert "batch.groups" not in fresh_engine.stats.counters
+        assert "batch.points" not in fresh_engine.stats.counters
 
     def test_custom_worker_never_batches(self, fresh_engine):
         """Instrumented workers must see every point individually."""
@@ -138,7 +149,7 @@ class TestBatchedEqualsSequential:
             batch=True,
         )
         assert all(result is not None for result in results)
-        assert fresh_engine.stats.batch_sizes == []
+        assert "batch.groups" not in fresh_engine.stats.counters
 
 
 class TestScalarAnchor:
@@ -200,7 +211,8 @@ class TestCacheAndJournal:
         assert results[0] is first
         assert fresh_engine.stats.memo_hits == 1
         # Only the two uncached points went through the shared pass.
-        assert fresh_engine.stats.batch_sizes == [2]
+        assert fresh_engine.stats.counters["batch.groups"] == 1
+        assert fresh_engine.stats.counters["batch.points"] == 2
 
     def test_batched_results_land_in_persistent_cache(
         self, tmp_path, restore_globals
@@ -215,7 +227,8 @@ class TestCacheAndJournal:
         rerun = Engine(cache_dir=root)
         rerun.characterize_many(_points(), jobs=1, batch=True)
         assert rerun.stats.cache.result_hits == 3
-        assert rerun.stats.batch_sizes == []  # nothing left to batch
+        # Nothing left to batch.
+        assert "batch.groups" not in rerun.stats.counters
 
     def test_prewarm_skips_points_already_on_disk(
         self, tmp_path, restore_globals
@@ -232,11 +245,12 @@ class TestCacheAndJournal:
         partial = Engine(cache_dir=root)
         partial.characterize_many(_points(), jobs=1, batch=True)
         assert partial.stats.cache.result_hits == 1
-        assert partial.stats.decode_reuse_hits == 1  # fxu 3 and 4
+        # fxu 3 and 4
+        assert partial.stats.counters["batch.decode_reuse_hits"] == 1
         rerun = Engine(cache_dir=root)
         rerun.characterize_many(_points(), jobs=1, batch=True)
         assert rerun.stats.cache.result_hits == 3
-        assert rerun.stats.decode_reuse_hits == 0
+        assert rerun.stats.counters.get("batch.decode_reuse_hits", 0) == 0
 
     def test_journal_records_batch_stats_and_per_point_done(
         self, fresh_engine
@@ -247,11 +261,30 @@ class TestCacheAndJournal:
         state = load_run(fresh_engine.cache.root, "batchrun")
         assert state.complete
         assert len(state.done) == 3  # one point_done per point
-        assert state.batch is not None
-        assert state.batch["groups"] == 1
-        assert state.batch["points"] == 3
-        assert state.batch["vectorized"] == 3
-        assert state.batch["decode_reuse_hits"] == 2
+        assert batch_counters(state.counters) == {
+            "batch.groups": 1,
+            "batch.points": 3,
+            "batch.vectorized": 3,
+            "batch.decode_reuse_hits": 2,
+        }
+
+    def test_journal_records_only_this_sweeps_counters(self, fresh_engine):
+        """The engine's counters accumulate across sweeps; each run's
+        journal holds only what its own sweep counted."""
+        fresh_engine.characterize_many(
+            _points((2, 3, 4)), jobs=1, batch=True, run_id="first"
+        )
+        fresh_engine.characterize_many(
+            _points((5, 6)), jobs=1, batch=True, run_id="second"
+        )
+        state = load_run(fresh_engine.cache.root, "second")
+        assert batch_counters(state.counters) == {
+            "batch.groups": 1,
+            "batch.points": 2,
+            "batch.vectorized": 2,
+            "batch.decode_reuse_hits": 1,
+        }
+        assert fresh_engine.stats.counters["batch.points"] == 5
 
     def test_unbatched_run_journals_no_batch_record(self, fresh_engine):
         fresh_engine.characterize_many(
@@ -260,7 +293,7 @@ class TestCacheAndJournal:
         )
         state = load_run(fresh_engine.cache.root, "plainrun")
         assert state.complete
-        assert state.batch is None
+        assert batch_counters(state.counters) == {}
 
 
 class TestBatchFailureExplodes:
@@ -276,7 +309,7 @@ class TestBatchFailureExplodes:
         assert len(fresh_engine.stats.failures) == 2
         digests = {f.config_digest for f in fresh_engine.stats.failures}
         assert len(digests) == 2  # two distinct points, not one batch
-        assert fresh_engine.stats.batch_sizes == []
+        assert "batch.groups" not in fresh_engine.stats.counters
 
     def test_bad_group_does_not_poison_good_group(self, fresh_engine):
         points = ([("nope", "baseline", power5().with_fxus(f))
@@ -286,6 +319,7 @@ class TestBatchFailureExplodes:
                 points, jobs=1, batch=True, retries=0
             )
         # The good group still completed, batched.
-        assert fresh_engine.stats.batch_sizes == [3]
+        assert fresh_engine.stats.counters["batch.groups"] == 1
+        assert fresh_engine.stats.counters["batch.points"] == 3
         good = fresh_engine.characterize(APP, "baseline", power5())
         assert good is not None

@@ -145,25 +145,24 @@ class TestCorruption:
 
 
 class TestFormatUpgrade:
-    def test_v1_entry_rewritten_as_v2_on_read(self, cache):
-        """A legacy v1 text entry upgrades itself to v2 on first read."""
-        from repro.isa.tracestore import (
-            TRACE_FORMAT_VERSION,
-            save_trace,
-            trace_format,
-        )
+    def test_v1_entry_loads_as_written(self, cache):
+        """A hand-placed legacy v1 text entry loads, eager and streamed,
+        and is left as written (the cache itself only writes v3)."""
+        from repro.isa.tracestore import save_trace, trace_format
 
         events = generate_trace(80, seed=21)
         path = cache.trace_path("fasta", "baseline")
         path.parent.mkdir(parents=True, exist_ok=True)
         save_trace(path, events)
-        assert trace_format(path) == 1
+        written = path.read_bytes()
         loaded = cache.load_trace("fasta", "baseline")
         assert loaded is not None and events_equal(loaded, events)
-        assert trace_format(path) == TRACE_FORMAT_VERSION
-        # And the rewritten entry still round-trips.
-        again = cache.load_trace("fasta", "baseline")
-        assert again is not None and events_equal(again, events)
+        segments = cache.load_trace_segments("fasta", "baseline")
+        streamed = [e for segment in segments for e in segment.to_events()]
+        assert events_equal(streamed, events)
+        assert trace_format(path) == 1
+        assert path.read_bytes() == written
+        assert cache.counters.trace_hits == 2
 
     def test_stats_reports_trace_format(self, cache):
         from repro.isa.tracestore import TRACE_FORMAT_VERSION

@@ -63,7 +63,7 @@ class TestRetries:
         )
         assert [r.app for r in results] == [p[0] for p in POINTS]
         assert engine.stats.failures == []
-        assert engine.stats.pool_rebuilds == 0
+        assert engine.stats.counters.get("recovery.pool_rebuilds", 0) == 0
 
     def test_hard_exit_rebuilds_pool_and_resumes(
         self, engine, tmp_path, monkeypatch
@@ -78,7 +78,7 @@ class TestRetries:
         )
         assert [r.app for r in results] == [p[0] for p in POINTS]
         assert engine.stats.failures == []
-        assert engine.stats.pool_rebuilds >= 1
+        assert engine.stats.counters["recovery.pool_rebuilds"] >= 1
 
     def test_serial_path_retries_and_keeps_going(self, engine, monkeypatch):
         real = engine.characterize
@@ -122,7 +122,7 @@ class TestTimeouts:
         assert failure.kind == FAILURE_TIMEOUT
         assert failure.app == "blast"
         assert failure.attempts == 1
-        assert engine.stats.pool_rebuilds >= 1
+        assert engine.stats.counters["recovery.pool_rebuilds"] >= 1
 
     def test_pool_that_keeps_dying_degrades_to_serial(
         self, engine, tmp_path, monkeypatch
@@ -144,8 +144,8 @@ class TestTimeouts:
         # injected worker faults cannot reach) and still completes.
         assert [r.app for r in results] == [p[0] for p in POINTS]
         assert engine.stats.failures == []
-        assert engine.stats.pool_rebuilds == 1
-        assert engine.stats.serial_fallbacks == 1
+        assert engine.stats.counters["recovery.pool_rebuilds"] == 1
+        assert engine.stats.counters["recovery.serial_fallbacks"] == 1
 
 
 class TestErrorPolicy:
@@ -176,7 +176,7 @@ class TestErrorPolicy:
         assert "injected fault" in by_app["fasta"].message
         assert by_app["hmmer"].kind == FAILURE_CRASH
         assert by_app["hmmer"].attempts == 2
-        assert engine.stats.pool_rebuilds >= 1
+        assert engine.stats.counters["recovery.pool_rebuilds"] >= 1
 
     def test_raise_names_exactly_the_failed_points(
         self, engine, tmp_path, monkeypatch

@@ -188,6 +188,47 @@ class TestCorruption:
         assert set(state.done) == {KEYS[0]}
 
 
+class TestCounters:
+    def test_counter_records_are_summed(self, tmp_path):
+        journal = RunJournal.create(tmp_path, POINTS, jobs=1, run_id="sum")
+        journal.record_counters({"batch.points": 3, "stream.streams": 2})
+        journal.close()
+        journal = RunJournal.reopen(tmp_path, "sum")
+        journal.record_counters(
+            {"batch.points": 1, "recovery.pool_rebuilds": 1}
+        )
+        journal.close()
+        assert load_run(tmp_path, "sum").counters == {
+            "batch.points": 4,
+            "stream.streams": 2,
+            "recovery.pool_rebuilds": 1,
+        }
+
+    def test_legacy_records_read_as_prefixed_counters(self, tmp_path):
+        run_id = make_journal(tmp_path, done=(0,))
+        path = journal_path(tmp_path, run_id)
+        legacy = [
+            {"record": "batch_stats", "groups": 1, "points": 3},
+            {"record": "stream_stats", "segments_consumed": 4},
+            {"record": "accel_stats", "points": 1, "offload_cycles": 9},
+            {"record": "counters", "counters": {"batch.points": 2}},
+        ]
+        with open(path, "ab") as handle:
+            for record in legacy:
+                handle.write(
+                    json.dumps({**record, "run_id": run_id}).encode() + b"\n"
+                )
+        state = load_journal(path)
+        assert state.corrupt is None
+        assert state.counters == {
+            "batch.groups": 1,
+            "batch.points": 5,
+            "stream.segments_consumed": 4,
+            "accel.points": 1,
+            "accel.offload_cycles": 9,
+        }
+
+
 class TestListingAndPruning:
     def test_list_runs_newest_first(self, tmp_path):
         old = make_journal(tmp_path, run_id="20200101-000000-aaaaaa")

@@ -1,13 +1,11 @@
-"""Streaming telemetry: the engine drains pipeline stats into the
-``stream`` block and journals them per sweep, exactly like PR 6's
-``batch_stats`` — additive counters, max-merged peaks, absent when
-nothing streamed.
+"""Engine counters: the engine drains pipeline counts into
+``EngineStats.counters`` and journals each sweep's counter deltas in
+one ``counters`` record — summed on merge, absent when nothing counted.
 """
-
-import pytest
 
 from repro.engine.journal import load_run
 from repro.engine.telemetry import EngineStats
+from repro.perf.stream import drain_stream_stats
 from repro.uarch.config import power5
 
 APP = "fasta"
@@ -17,53 +15,50 @@ def _points(fxus=(2, 3)):
     return [(APP, "baseline", power5().with_fxus(f)) for f in fxus]
 
 
-class TestEngineStatsStreamBlock:
-    def test_schema_has_stream_block(self):
-        payload = EngineStats().to_dict()
-        assert payload["schema"] == 9  # 8 added accel, 9 dropped service
-        assert payload["stream"] == {
-            "streams": 0,
-            "segments_produced": 0,
-            "segments_consumed": 0,
-            "queue_peak": 0,
-            "handoffs": 0,
-            "peak_segment_bytes": 0,
-        }
+def _stream_counters(counters):
+    return {
+        name: value for name, value in counters.items()
+        if name.startswith("stream.")
+    }
 
-    def test_merge_stream_folds_counts_and_peaks(self):
+
+class TestEngineStatsStreamBlock:
+    def test_schema_10_has_one_counters_block(self):
         stats = EngineStats()
-        stats.merge_stream({
-            "streams": 2, "segments_produced": 8, "segments_consumed": 8,
-            "queue_peak": 2, "handoffs": 8, "peak_segment_bytes": 640,
-        })
-        stats.merge_stream({
-            "streams": 1, "segments_produced": 4, "segments_consumed": 4,
-            "queue_peak": 1, "handoffs": 4, "peak_segment_bytes": 900,
-        })
-        block = stats.to_dict()["stream"]
-        assert block["streams"] == 3
-        assert block["segments_produced"] == 12
-        assert block["queue_peak"] == 2  # max, not sum
-        assert block["peak_segment_bytes"] == 900
+        payload = stats.to_dict()
+        assert payload["schema"] == 10  # 10 folded the per-feature blocks
+        assert payload["counters"] == {}
+        for block in ("recovery", "batch", "stream", "accel"):
+            assert block not in payload
+        stats.count("stream.segments_consumed", 3)
+        stats.count("stream.segments_consumed")
+        stats.count("batch.points", 2)
+        assert stats.to_dict()["counters"] == {
+            "stream.segments_consumed": 4, "batch.points": 2,
+        }
 
     def test_worker_merge_carries_stream_counters(self):
         parent, worker = EngineStats(), EngineStats()
-        worker.merge_stream({
-            "streams": 1, "segments_produced": 5, "segments_consumed": 5,
-            "queue_peak": 2, "handoffs": 5, "peak_segment_bytes": 300,
-        })
+        parent.count("stream.segments_produced", 2)
+        worker.count("stream.segments_produced", 5)
+        worker.count("stream.streams")
         parent.merge(worker)
-        assert parent.to_dict()["stream"]["segments_produced"] == 5
+        assert parent.counters == {
+            "stream.segments_produced": 7, "stream.streams": 1,
+        }
 
     def test_render_mentions_streaming_only_when_used(self):
         silent = EngineStats()
-        assert "Streaming" not in silent.render()
+        assert "Engine counters" not in silent.render()
+        silent.count("batch.fallback", 0)
+        assert "Engine counters" not in silent.render()
         loud = EngineStats()
-        loud.merge_stream({
-            "streams": 1, "segments_produced": 2, "segments_consumed": 2,
-            "queue_peak": 1, "handoffs": 2, "peak_segment_bytes": 64,
-        })
-        assert "Streaming" in loud.render()
+        loud.count("stream.segments_consumed", 2)
+        loud.count("batch.fallback", 0)
+        rendered = loud.render()
+        assert "Engine counters" in rendered
+        assert "stream.segments_consumed" in rendered
+        assert "batch.fallback" not in rendered  # zero rows are hidden
 
 
 class TestEngineDrainsStream:
@@ -71,24 +66,23 @@ class TestEngineDrainsStream:
         self, fresh_engine, monkeypatch
     ):
         monkeypatch.setenv("REPRO_STREAM", "on")
-        from repro.perf.stream import drain_stream_stats
-
         drain_stream_stats()  # clear anything earlier tests left
         fresh_engine.characterize(APP, "baseline", power5())
-        block = fresh_engine.stats.to_dict()["stream"]
-        assert block["streams"] >= 2  # kernel + background pipelines
-        assert block["segments_produced"] == block["segments_consumed"]
-        assert block["segments_produced"] >= 2
-        assert block["peak_segment_bytes"] > 0
+        counters = fresh_engine.stats.counters
+        assert counters["stream.streams"] >= 2  # kernel + background
+        assert (counters["stream.segments_produced"]
+                == counters["stream.segments_consumed"])
+        assert counters["stream.segments_produced"] >= 2
         # Drained into the engine, not left in the module accumulator.
-        assert drain_stream_stats() is None
+        assert drain_stream_stats() == {}
 
     def test_stream_off_leaves_block_empty(
         self, fresh_engine, monkeypatch
     ):
         monkeypatch.setenv("REPRO_STREAM", "off")
+        drain_stream_stats()
         fresh_engine.characterize(APP, "baseline", power5())
-        assert fresh_engine.stats.to_dict()["stream"]["streams"] == 0
+        assert _stream_counters(fresh_engine.stats.counters) == {}
 
 
 class TestJournalStreamRecord:
@@ -99,15 +93,19 @@ class TestJournalStreamRecord:
         )
         state = load_run(fresh_engine.cache.root, "streamrun")
         assert state.complete
-        assert state.stream is not None
-        assert state.stream["segments_produced"] >= 2
-        assert state.stream["handoffs"] >= 2
+        assert state.counters["stream.segments_produced"] >= 2
+        assert state.counters["stream.segments_consumed"] >= 2
+        assert state.counters == {
+            name: value
+            for name, value in fresh_engine.stats.counters.items() if value
+        }
 
     def test_stream_off_journals_no_record(self, fresh_engine, monkeypatch):
         monkeypatch.setenv("REPRO_STREAM", "off")
+        drain_stream_stats()
         fresh_engine.characterize_many(
             _points(), jobs=1, batch=True, run_id="plainrun"
         )
         state = load_run(fresh_engine.cache.root, "plainrun")
         assert state.complete
-        assert state.stream is None
+        assert _stream_counters(state.counters) == {}

@@ -229,23 +229,23 @@ class TestV3Segmented:
         assert trace_format(v3) == TRACE_FORMAT_VERSION
         _assert_events_match(load_trace(v3), trace)
 
-    def test_cache_rewrites_v2_entry_on_read(self, trace, tmp_path):
-        """The engine cache upgrades v1/v2 entries to v3 on first read
-        (same pattern PR 2 used for v1 -> v2)."""
+    def test_cache_reads_v2_entry_as_written(self, trace, tmp_path):
+        """A hand-placed v2 entry loads from the engine cache, eager and
+        streamed, and stays v2 (the cache itself only writes v3)."""
         from repro.engine.cache import PersistentCache
 
         cache = PersistentCache(tmp_path / "cache")
         path = cache.trace_path("blast", "baseline")
         path.parent.mkdir(parents=True, exist_ok=True)
         save_trace_v2(path, Trace.from_events(trace))
-        assert trace_format(path) == 2
+        written = path.read_bytes()
         loaded = cache.load_trace("blast", "baseline")
         _assert_events_match(loaded, trace)
-        assert trace_format(path) == 3
-        # And the lazily streamed view agrees with the eager one.
         segments = cache.load_trace_segments("blast", "baseline")
         streamed = [e for seg in segments for e in seg.to_events()]
         _assert_events_match(streamed, trace)
+        assert trace_format(path) == 2
+        assert path.read_bytes() == written
 
     def test_open_trace_segments_compat_with_v1_and_v2(
         self, trace, tmp_path

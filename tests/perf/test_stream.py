@@ -20,10 +20,8 @@ from repro.perf.characterize import (
 )
 from repro.perf.stream import (
     DEFAULT_SEGMENT_EVENTS,
-    StreamStats,
     drain_stream_stats,
     pipelined,
-    record_stream,
     resolve_stream,
     segment_events,
 )
@@ -70,22 +68,14 @@ class TestPipelined:
         assert list(pipelined(iter(items))) == items
 
     def test_counts_what_flowed(self):
-        stats = StreamStats()
-        list(pipelined(iter(range(10)), stats=stats))
-        assert stats.streams == 1
-        assert stats.segments_produced == 10
-        assert stats.segments_consumed == 10
-        assert stats.handoffs == 10
-        assert stats.queue_peak <= 2
-
-    def test_peak_segment_bytes_tracks_largest(self):
-        from repro.isa.trace import Trace
-        from repro.uarch.synthetic import MixProfile, generate_trace
-
-        trace = generate_trace(1_000, MixProfile(), seed=5)
-        stats = StreamStats()
-        list(pipelined(trace.segments(300), stats=stats))
-        assert stats.peak_segment_bytes == 300 * 29
+        drain_stream_stats()  # reset whatever earlier tests left
+        list(pipelined(iter(range(10))))
+        assert drain_stream_stats() == {
+            "stream.streams": 1,
+            "stream.segments_produced": 10,
+            "stream.segments_consumed": 10,
+        }
+        assert drain_stream_stats() == {}  # reset on drain
 
     def test_producer_error_reaches_consumer(self):
         def explodes():
@@ -120,34 +110,28 @@ class TestPipelined:
 
 class TestStatsAccumulator:
     def test_record_and_drain(self):
-        drain_stream_stats()  # reset whatever earlier tests left
-        local = StreamStats(
-            segments_produced=3, segments_consumed=3, queue_peak=2,
-            handoffs=3, peak_segment_bytes=100, streams=1,
-        )
-        record_stream(local)
-        drained = drain_stream_stats()
-        assert drained is not None
-        assert drained.as_dict()["segments_produced"] == 3
-        assert drain_stream_stats() is None  # reset on drain
-
-    def test_merge_adds_counts_and_maxes_peaks(self):
-        a = StreamStats(segments_produced=2, queue_peak=1,
-                        peak_segment_bytes=50, streams=1)
-        b = StreamStats(segments_produced=3, queue_peak=4,
-                        peak_segment_bytes=20, streams=1)
-        a.merge(b)
-        assert a.segments_produced == 5
-        assert a.queue_peak == 4
-        assert a.peak_segment_bytes == 50
-        assert a.streams == 2
+        """One drain hands off the sum over every pipeline since the
+        last one."""
+        drain_stream_stats()
+        list(pipelined(iter(range(3))))
+        list(pipelined(iter(range(4))))
+        assert drain_stream_stats() == {
+            "stream.streams": 2,
+            "stream.segments_produced": 7,
+            "stream.segments_consumed": 7,
+        }
 
     def test_pipeline_records_on_completion(self):
+        """Counts are added when the stream ends, abandoned or not."""
         drain_stream_stats()
-        list(pipelined(iter(range(4))))
+        stream = pipelined(iter(range(4)))
+        assert next(stream) == 0
+        assert drain_stream_stats() == {}
+        stream.close()
         drained = drain_stream_stats()
-        assert drained is not None
-        assert drained.segments_produced == 4
+        assert drained["stream.streams"] == 1
+        assert drained["stream.segments_consumed"] == 1
+        assert 1 <= drained["stream.segments_produced"] <= 4
 
 
 class TestBackgroundStream:

@@ -346,9 +346,11 @@ class TestResumeCommand:
 
 
 class TestNetworkedWorkerJournal:
-    """Journals written by the former networked workers (``repro work
-    --url``) still load, list and resume: their ``worker_stats`` record
-    carries resilience counters that no current writer emits."""
+    """Journals written by earlier builds still load, list and resume:
+    the former networked workers' (``repro work --url``)
+    ``worker_stats`` records carry resilience counters that no current
+    writer emits, and runs from before the ``counters`` record carry
+    per-feature counter records."""
 
     @pytest.fixture(autouse=True)
     def _restore_global_cache(self):
@@ -358,7 +360,11 @@ class TestNetworkedWorkerJournal:
         yield
         cache_module._active_cache = original
 
-    def test_old_journal_lists_and_resumes(self, tmp_path, capsys):
+    @staticmethod
+    def _old_journal(root, run_id, records):
+        """A one-point fasta run journaled by hand: its ``run_start``
+        header, then ``records(key, done)``, where ``done`` is a
+        ``point_done`` record whose result exists in the cache."""
         import json
 
         from repro.engine import serialize
@@ -370,10 +376,9 @@ class TestNetworkedWorkerJournal:
             sweep_digest,
         )
         from repro.engine.engine import Engine
-        from repro.engine.journal import journal_path, load_run
+        from repro.engine.journal import journal_path
         from repro.uarch.config import power5
 
-        root = tmp_path / "cache"
         use_cache_dir(root)
         config = power5()
         result = Engine(cache_dir=root).characterize(
@@ -384,40 +389,49 @@ class TestNetworkedWorkerJournal:
             "variant": "baseline",
             "config_digest": config_digest(config),
         }
+        header = {
+            "record": "run_start", "schema": 1, "run_id": run_id,
+            "created": 1_700_000_000.0, "jobs": 2,
+            "source_digest": sim_source_digest(),
+            "sweep_digest": sweep_digest(
+                [("fasta", "baseline", key["config_digest"])]
+            ),
+            "points": [{**key, "config": serialize.config_to_dict(config)}],
+        }
+        done = {
+            "record": "point_done", **key,
+            "result_digest": result_payload_digest(
+                serialize.characterisation_to_dict(result)
+            ),
+        }
+        path = journal_path(root, run_id)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "".join(
+                json.dumps(record) + "\n"
+                for record in [header, *records(key, done)]
+            ),
+            encoding="utf-8",
+        )
+
+    def test_old_journal_lists_and_resumes(self, tmp_path, capsys):
+        from repro.engine.journal import load_run
+
+        root = tmp_path / "cache"
         created = 1_700_000_000.0
-        records = [
-            {
-                "record": "run_start", "schema": 1, "run_id": "net-run",
-                "created": created, "jobs": 2,
-                "source_digest": sim_source_digest(),
-                "sweep_digest": sweep_digest(
-                    [("fasta", "baseline", key["config_digest"])]
-                ),
-                "points": [
-                    {**key, "config": serialize.config_to_dict(config)}
-                ],
-            },
+        self._old_journal(root, "net-run", lambda key, done: [
             {"record": "point_claimed", **key, "worker": "net-a",
              "time": created + 1.0, "expires": created + 31.0},
             {"record": "point_heartbeat", **key, "worker": "net-a",
              "time": created + 11.0, "expires": created + 41.0},
-            {"record": "point_done", **key,
-             "result_digest": result_payload_digest(
-                 serialize.characterisation_to_dict(result)
-             )},
+            done,
             {"record": "worker_stats", "run_id": "net-run",
              "worker": "net-a", "claims": 1, "claim_conflicts": 0,
              "claim_steals": 0, "heartbeats": 1, "released": 0,
              "lost_leases": 0, "net_retries": 3, "breaker_trips": 1,
              "degraded_ms": 1250, "remote_hits": 2, "remote_misses": 1,
              "remote_pushes": 1, "drained_pushes": 1},
-        ]
-        path = journal_path(root, "net-run")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            "".join(json.dumps(record) + "\n" for record in records),
-            encoding="utf-8",
-        )
+        ])
 
         state = load_run(root, "net-run")
         assert state.corrupt is None
@@ -435,6 +449,55 @@ class TestNetworkedWorkerJournal:
 
         assert main(
             ["resume", "net-run", "--cache-dir", str(root),
+             "--no-telemetry"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "1 replayed" in out
+        assert "0 re-submitted" in out
+
+    def test_legacy_counter_records_list_and_resume(self, tmp_path, capsys):
+        """``batch_stats``, ``stream_stats`` and ``accel_stats`` records,
+        written before the ``counters`` record, read as counters: the
+        listing shows what it showed when they were current."""
+        from repro.engine.journal import load_run
+
+        root = tmp_path / "cache"
+        self._old_journal(root, "legacy-run", lambda key, done: [
+            done,
+            {"record": "batch_stats", "run_id": "legacy-run", "groups": 1,
+             "points": 3, "vectorized": 3, "fallback": 0,
+             "decode_reuse_hits": 2},
+            {"record": "stream_stats", "run_id": "legacy-run",
+             "streams": 2, "segments_produced": 5,
+             "segments_consumed": 5, "handoffs": 5, "queue_peak": 2,
+             "peak_segment_bytes": 1900544},
+            {"record": "accel_stats", "run_id": "legacy-run",
+             "points": 1, "batched": 0, "bioseal_points": 1,
+             "aphmm_points": 0, "offload_cycles": 900,
+             "transfer_cycles": 40},
+        ])
+
+        state = load_run(root, "legacy-run")
+        assert state.corrupt is None
+        assert state.counters["batch.points"] == 3
+        assert state.counters["stream.segments_consumed"] == 5
+        assert state.counters["stream.queue_peak"] == 2
+        assert state.counters["accel.offload_cycles"] == 900
+
+        assert main(
+            ["runs", "--cache-dir", str(root), "--porcelain"]
+        ) == 0
+        fields = capsys.readouterr().out.strip().split("\t")
+        assert len(fields) == 9
+        del fields[5]  # age
+        assert fields == [
+            "legacy-run", "resumable", "1", "0", "1", "3", "5", "0",
+        ]
+        assert main(["runs", "--cache-dir", str(root)]) == 0
+        assert "3 in 1" in capsys.readouterr().out  # Batched
+
+        assert main(
+            ["resume", "legacy-run", "--cache-dir", str(root),
              "--no-telemetry"]
         ) == 0
         out = capsys.readouterr().out
