@@ -26,7 +26,6 @@ from repro.accel.config import AccelConfig, aphmm, bioseal
 from repro.accel.lab import (
     AccelEstimate,
     accel_slot,
-    cached_estimate,
     estimate,
     estimate_many,
     supported_backends,
@@ -50,7 +49,6 @@ __all__ = [
     "aphmm",
     "backend_for",
     "bioseal",
-    "cached_estimate",
     "estimate",
     "estimate_many",
     "supported_backends",

@@ -206,31 +206,3 @@ def estimate_from_dict(payload: dict) -> AccelEstimate:
         result=BackendResult.from_payload(payload["result"]),
     )
 
-
-def cached_estimate(
-    app: str, variant: str, config: AccelConfig, cache=None,
-) -> tuple[AccelEstimate, bool]:
-    """Estimate through the persistent store; returns (estimate, hit).
-
-    Same discipline as the core result path: load, validate strictly,
-    evict-and-recompute on any corruption, store on miss.
-    """
-    from repro.engine.cache import active_cache
-    from repro.engine.digest import config_digest
-
-    cache = cache or active_cache()
-    digest = config_digest(config)
-    slot = accel_slot(variant)
-    payload = cache.load_result_payload(app, slot, digest)
-    if payload is not None:
-        try:
-            est = estimate_from_dict(payload)
-            if (est.app == app and est.variant == variant
-                    and config_digest(est.config) == digest):
-                return est, True
-            raise ValueError("accel payload addresses a different point")
-        except (KeyError, TypeError, ValueError, SimulationError):
-            cache.evict_result(app, slot, digest)
-    est = estimate(app, variant, config)
-    cache.store_result_payload(app, slot, digest, estimate_to_dict(est))
-    return est, False

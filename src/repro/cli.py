@@ -224,6 +224,8 @@ def cmd_trace(args) -> int:
         print(f"branch_mispredict={result.branch_mispredict_rate:.1%} "
               f"l1d_miss={result.cache.miss_rate:.2%}")
         return 0
+    if args.app is None:
+        raise ReproError("trace: give an app or --load FILE")
     trace = kernel_trace(args.app, args.variant)
     save_trace_v3(args.output, trace)
     print(f"# wrote {len(trace)} events to {args.output}")
@@ -243,7 +245,7 @@ def cmd_simulate(args) -> int:
     )
     engine = default_engine()
     variants = VARIANTS if args.variant == "all" else (args.variant,)
-    engine.prefetch(
+    engine.characterize_many(
         [(args.app, variant, config) for variant in variants],
         jobs=args.jobs,
     )
@@ -427,7 +429,7 @@ def cmd_accel(args) -> int:
             (args.app, args.variant, base.with_class(cls))
             for cls in classes
         ]
-        engine.prefetch(points, jobs=args.jobs)
+        engine.characterize_many(points, jobs=args.jobs)
         rows = [
             (cls, engine.characterize(args.app, args.variant, config))
             for (_, _, config), cls in zip(points, classes)

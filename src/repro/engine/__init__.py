@@ -28,13 +28,15 @@ Layers, bottom to top:
     byte-identical merged results. See ``docs/resume.md``.
 ``scheduler``
     Fault-tolerant process-pool fan-out of design points (``--jobs N``
-    / ``REPRO_JOBS``), with in-flight deduplication, per-point
-    deadlines and bounded retries, ``BrokenProcessPool`` isolation
-    (rebuild + resume), and graceful degradation to serial execution;
-    parallel results are byte-identical to serial because every point
-    is deterministic and computed on a fresh core.
+    / ``REPRO_JOBS``): in-flight deduplication, one dispatch unit per
+    ``(app, variant)``, per-point deadlines and bounded retries under
+    one failure policy, ``BrokenProcessPool`` isolation (rebuild +
+    resume), and graceful degradation to serial execution; parallel
+    results are byte-identical to serial because every point is
+    deterministic and computed on a fresh core.
 ``engine``
-    :class:`Engine` ties the layers together; ``default_engine()`` is
+    :class:`Engine` ties the layers together through one per-point
+    path, :meth:`Engine.characterize_batch`; ``default_engine()`` is
     the process-wide instance the experiment drivers share.
 """
 

@@ -1,17 +1,22 @@
 """The :class:`Engine`: cached, parallel design-point simulation.
 
-Every simulation request flows through three layers:
+Every design point, one config or many, core or accelerator, takes one
+path: :meth:`Engine.characterize_batch` (:meth:`Engine.characterize` is
+a one-config call to it). Per point it consults, in order:
 
 1. an in-memory memo keyed by the canonical ``(app, variant,
    config-digest)`` key (not dataclass identity);
 2. the persistent content-addressed cache (:mod:`repro.engine.cache`),
-   which survives across processes and runs;
-3. the real pipeline — a one-config
-   :func:`repro.perf.characterize.characterize_batched` call, the
-   shared frontend pass and native replay — whose result is then
-   persisted and memoised. The engine also memoises each app's
-   background result per config and hands that memo to the pipeline,
-   since the background is the same for every code variant.
+   read through one strict loader that evicts any entry it cannot
+   trust;
+3. the compute step, the only place core and accelerator points part:
+   the pending core configs run as one
+   :func:`repro.perf.characterize.characterize_batched` group (the
+   shared frontend pass and native replay), the pending accelerator
+   configs through :func:`repro.accel.lab.estimate_many`. Each result
+   is then persisted, memoised and recorded. The engine also memoises
+   each app's background result per config and hands that memo to the
+   pipeline, since the background is the same for every code variant.
 
 ``default_engine()`` is the process-wide instance the experiment
 drivers and the CLI share; it uses the process-wide persistent cache.
@@ -35,13 +40,13 @@ from repro.accel.lab import (
     AccelEstimate,
     accel_slot,
     estimate_many as accel_estimate_many,
-    estimate_to_dict,
 )
 from repro.engine import serialize
 from repro.engine.cache import PersistentCache, active_cache
 from repro.engine.digest import (
     SHORT_DIGEST,
     config_digest,
+    point_key,
     result_payload_digest,
     sim_source_digest,
 )
@@ -53,13 +58,19 @@ from repro.engine.telemetry import (
     EngineStats,
     PointRecord,
 )
-from repro.errors import WorkloadError
+from repro.errors import SimulationError, WorkloadError
 from repro.perf.characterize import AppCharacterisation, characterize_batched
 from repro.perf.stream import drain_stream_stats
 from repro.uarch.config import CoreConfig, power5
 
 #: Sentinel: "use the environment-resolved cache directory".
 _ENV = object()
+
+
+def _slot(variant: str, config) -> str:
+    """The result slot a point persists under (``<variant>~accel`` for
+    an accelerator estimate)."""
+    return accel_slot(variant) if isinstance(config, AccelConfig) else variant
 
 
 class Engine:
@@ -81,7 +92,7 @@ class Engine:
         #: background is the same for every code variant of an app.
         self._backgrounds: dict = {}
 
-    # -- single points -----------------------------------------------------
+    # -- design points -----------------------------------------------------
 
     def characterize(
         self,
@@ -89,61 +100,13 @@ class Engine:
         variant: str = "baseline",
         config: CoreConfig | None = None,
     ) -> AppCharacterisation:
-        """One design point, through memo -> disk -> simulation.
+        """One design point: a one-config :meth:`characterize_batch`.
 
         ``config`` may be a :class:`CoreConfig` (a core simulation) or
         an :class:`~repro.accel.config.AccelConfig` (an accelerator
         estimate, persisted under the ``<variant>~accel`` result slot).
-        Both flow through the same memo, telemetry, journal and
-        scheduler machinery.
         """
-        config = config or power5()
-        digest = config_digest(config)
-        key = (app, variant, digest)
-        cached = self._memo.get(key)
-        if cached is not None:
-            self.stats.memo_hits += 1
-            return cached
-
-        started = time.perf_counter()
-        if isinstance(config, AccelConfig):
-            slot = accel_slot(variant)
-            result = self._load_persistent_accel(app, variant, digest)
-            source = SOURCE_DISK
-            if result is None:
-                from repro.accel.lab import estimate as accel_estimate
-
-                result = accel_estimate(app, variant, config)
-                self.cache.store_result_payload(
-                    app, slot, digest, estimate_to_dict(result),
-                )
-                source = SOURCE_SIMULATED
-            self._note_accel(result)
-        else:
-            result = self._load_persistent(app, variant, digest)
-            source = SOURCE_DISK
-            if result is None:
-                drain_stream_stats()  # discard counts of others' pipelines
-                (result,), _ = characterize_batched(
-                    app, variant, [config], backgrounds=self._backgrounds
-                )
-                self.cache.store_result_payload(
-                    app, variant, digest,
-                    serialize.characterisation_to_dict(result),
-                )
-                source = SOURCE_SIMULATED
-                self._drain_stream()
-        wall = time.perf_counter() - started
-
-        self._memo[key] = result
-        self.stats.record(PointRecord(
-            app=app,
-            variant=variant,
-            config_digest=digest[:SHORT_DIGEST],
-            wall_seconds=wall,
-            instructions=result.merged.instructions,
-            source=source,
-        ))
+        (result,) = self.characterize_batch(app, variant, [config or power5()])
         return result
 
     def characterize_batch(
@@ -152,193 +115,123 @@ class Engine:
         variant: str,
         configs: list[CoreConfig],
     ) -> list[AppCharacterisation]:
-        """Many configs of one (app, variant), sharing a trace pass.
+        """Configs of one (app, variant), through memo -> disk -> compute.
 
-        Equivalent to calling :meth:`characterize` once per config — the
-        memo and persistent cache are consulted per point first, every
-        simulated result is persisted and memoised individually, and the
-        telemetry carries one :class:`PointRecord` per point — but the
-        points that do need simulation run through
-        :func:`repro.perf.characterize.characterize_batched`, so their
-        shared workload trace is decoded and frontend-walked once.
-        Both this and :meth:`characterize` pass the engine's background
-        memo, so each app's background is simulated once per config
-        and reused by every other code variant of that app.
-
-        Accelerator configs in the list are peeled off and served
-        through :func:`repro.accel.lab.estimate_many` (one workload
-        batch construction per input class); core and accelerator
-        points may mix freely in one call.
+        Each point is served from the memo or the persistent cache when
+        it can be. The rest are computed together: the core configs as
+        one :func:`repro.perf.characterize.characterize_batched` group,
+        so their shared workload trace is decoded and frontend-walked
+        once, and the accelerator configs through
+        :func:`repro.accel.lab.estimate_many`, which builds one workload
+        batch per input class. Core and accelerator configs may mix in
+        one call. Every computed result is persisted and memoised on
+        its own, and the telemetry carries one :class:`PointRecord` per
+        point it served.
         """
-        accel_indices = [
-            index for index, config in enumerate(configs)
-            if isinstance(config, AccelConfig)
-        ]
-        if accel_indices:
-            results = [None] * len(configs)
-            accel_set = set(accel_indices)
-            core_indices = [
-                index for index in range(len(configs))
-                if index not in accel_set
-            ]
-            if core_indices:
-                for index, result in zip(core_indices, self.characterize_batch(
-                        app, variant,
-                        [configs[index] for index in core_indices])):
-                    results[index] = result
-            for index, result in zip(accel_indices, self._accel_batch(
-                    app, variant,
-                    [configs[index] for index in accel_indices])):
-                results[index] = result
-            return results
-
-        results: list[AppCharacterisation | None] = [None] * len(configs)
-        digests = [config_digest(config) for config in configs]
-        pending: list[int] = []
-        for index, digest in enumerate(digests):
-            key = (app, variant, digest)
+        results: list = [None] * len(configs)
+        keys = [point_key(app, variant, config) for config in configs]
+        core: list[int] = []
+        accel: list[int] = []
+        for index, (key, config) in enumerate(zip(keys, configs)):
             cached = self._memo.get(key)
             if cached is not None:
                 self.stats.memo_hits += 1
                 results[index] = cached
                 continue
             started = time.perf_counter()
-            disk = self._load_persistent(app, variant, digest)
-            if disk is not None:
-                self._memo[key] = disk
-                self.stats.record(PointRecord(
-                    app=app,
-                    variant=variant,
-                    config_digest=digest[:SHORT_DIGEST],
-                    wall_seconds=time.perf_counter() - started,
-                    instructions=disk.merged.instructions,
-                    source=SOURCE_DISK,
-                ))
-                results[index] = disk
+            loaded = self._load(key, config)
+            if loaded is not None:
+                self._serve(
+                    key, loaded, time.perf_counter() - started, SOURCE_DISK
+                )
+                results[index] = loaded
+            elif isinstance(config, AccelConfig):
+                accel.append(index)
+            else:
+                core.append(index)
+        for pending, compute in ((core, self._simulate),
+                                 (accel, self._estimate)):
+            if not pending:
                 continue
-            pending.append(index)
-        if pending:
             started = time.perf_counter()
-            drain_stream_stats()  # discard counts of others' pipelines
-            batch_results, info = characterize_batched(
-                app, variant, [configs[index] for index in pending],
-                backgrounds=self._backgrounds,
-            )
-            # One wall clock covers the whole batch; attribute it evenly
-            # so per-point MIPS stays meaningful.
+            computed = compute(app, variant, [configs[i] for i in pending])
+            # One wall clock covers the group; attribute it evenly so
+            # per-point MIPS stays meaningful.
             wall = (time.perf_counter() - started) / len(pending)
-            for index, result in zip(pending, batch_results):
-                digest = digests[index]
+            for index, result in zip(pending, computed):
+                key = keys[index]
                 self.cache.store_result_payload(
-                    app, variant, digest,
+                    app, _slot(variant, configs[index]), key[2],
                     serialize.characterisation_to_dict(result),
                 )
-                self._memo[(app, variant, digest)] = result
-                self.stats.record(PointRecord(
-                    app=app,
-                    variant=variant,
-                    config_digest=digest[:SHORT_DIGEST],
-                    wall_seconds=wall,
-                    instructions=result.merged.instructions,
-                    source=SOURCE_SIMULATED,
-                ))
+                self._serve(key, result, wall, SOURCE_SIMULATED)
                 results[index] = result
-            self.stats.count("batch.groups")
-            self.stats.count("batch.points", len(pending))
-            self.stats.count("batch.vectorized", info["vectorized"])
-            self.stats.count("batch.fallback", info["fallback"])
-            self._drain_stream()
         return results
 
-    def _accel_batch(
-        self,
-        app: str,
-        variant: str,
-        configs: list[AccelConfig],
-    ) -> list[AccelEstimate]:
-        """Accelerator side of :meth:`characterize_batch`.
-
-        Same per-point memo/disk/store discipline as the core path; the
-        points that do need estimation share one workload-batch
-        construction per input class through
-        :func:`repro.accel.lab.estimate_many`.
-        """
-        slot = accel_slot(variant)
-        results: list[AccelEstimate | None] = [None] * len(configs)
-        digests = [config_digest(config) for config in configs]
-        pending: list[int] = []
-        for index, digest in enumerate(digests):
-            key = (app, variant, digest)
-            cached = self._memo.get(key)
-            if cached is not None:
-                self.stats.memo_hits += 1
-                results[index] = cached
-                continue
-            started = time.perf_counter()
-            disk = self._load_persistent_accel(app, variant, digest)
-            if disk is not None:
-                self._memo[key] = disk
-                self._note_accel(disk)
-                self.stats.record(PointRecord(
-                    app=app,
-                    variant=variant,
-                    config_digest=digest[:SHORT_DIGEST],
-                    wall_seconds=time.perf_counter() - started,
-                    instructions=disk.merged.instructions,
-                    source=SOURCE_DISK,
-                ))
-                results[index] = disk
-                continue
-            pending.append(index)
-        if pending:
-            started = time.perf_counter()
-            estimates, info = accel_estimate_many(
-                app, variant, [configs[index] for index in pending]
-            )
-            wall = (time.perf_counter() - started) / len(pending)
-            for index, est in zip(pending, estimates):
-                digest = digests[index]
-                self.cache.store_result_payload(
-                    app, slot, digest, estimate_to_dict(est),
-                )
-                self._memo[(app, variant, digest)] = est
-                self._note_accel(est)
-                self.stats.record(PointRecord(
-                    app=app,
-                    variant=variant,
-                    config_digest=digest[:SHORT_DIGEST],
-                    wall_seconds=wall,
-                    instructions=est.merged.instructions,
-                    source=SOURCE_SIMULATED,
-                ))
-                results[index] = est
-            self.stats.count("accel.batched", info["shared"])
+    def _simulate(self, app, variant, configs) -> list[AppCharacterisation]:
+        """Compute step for core configs: one shared kernel group."""
+        drain_stream_stats()  # discard counts of others' pipelines
+        results, info = characterize_batched(
+            app, variant, configs, backgrounds=self._backgrounds
+        )
+        self.stats.count("batch.groups")
+        self.stats.count("batch.points", len(configs))
+        self.stats.count("batch.vectorized", info["vectorized"])
+        self.stats.count("batch.fallback", info["fallback"])
+        self._drain_stream()
         return results
 
-    def _load_persistent_accel(
-        self, app: str, variant: str, digest: str
-    ) -> AccelEstimate | None:
-        """Load one accelerator estimate from its ``~accel`` slot.
+    def _estimate(self, app, variant, configs) -> list[AccelEstimate]:
+        """Compute step for accelerator configs: shared workload batches."""
+        results, info = accel_estimate_many(app, variant, configs)
+        self.stats.count("accel.batched", info["shared"])
+        return results
 
-        Strict like :meth:`_load_persistent`, plus an addressing check:
-        an entry that decodes but describes a different point (or is not
-        an accelerator payload at all) is corruption, evicted the same
-        way a malformed one is.
+    def _load(self, key, config, recorded: str | None = None):
+        """One point's persisted result, or ``None`` (miss or evicted).
+
+        The one strict loader of the memo -> disk step and of resume.
+        The slot follows the config's type, and the entry must decode
+        to the same kind of result. An accelerator entry must also
+        address exactly this point, and with ``recorded`` (a resume)
+        its payload digest must equal the one the journal acknowledged.
+        Any failure evicts the entry, so the point is computed again.
         """
-        slot = accel_slot(variant)
+        app, variant, digest = key
+        slot = _slot(variant, config)
         payload = self.cache.load_result_payload(app, slot, digest)
         if payload is None:
             return None
         try:
+            if (recorded is not None
+                    and result_payload_digest(payload) != recorded):
+                raise ValueError("entry diverged from the journal")
             result = serialize.characterisation_from_dict(payload)
-            if (not isinstance(result, AccelEstimate)
-                    or result.app != app or result.variant != variant
-                    or config_digest(result.config) != digest):
-                raise ValueError("accel entry addresses a different point")
-        except (KeyError, TypeError, ValueError):
+            accel = isinstance(config, AccelConfig)
+            if isinstance(result, AccelEstimate) != accel or (
+                accel and (result.app, result.variant,
+                           config_digest(result.config)) != key
+            ):
+                raise ValueError("entry addresses a different point")
+        except (KeyError, TypeError, ValueError, SimulationError):
             self.cache.evict_result(app, slot, digest)
             return None
         return result
+
+    def _serve(self, key, result, wall: float, source: str) -> None:
+        """Memoise one served point and record where it came from."""
+        app, variant, digest = key
+        self._memo[key] = result
+        if isinstance(result, AccelEstimate):
+            self._note_accel(result)
+        self.stats.record(PointRecord(
+            app=app,
+            variant=variant,
+            config_digest=digest[:SHORT_DIGEST],
+            wall_seconds=wall,
+            instructions=result.merged.instructions,
+            source=source,
+        ))
 
     def _note_accel(self, est: AccelEstimate) -> None:
         """Count one served accelerator estimate."""
@@ -352,20 +245,6 @@ class Engine:
         """Add finished streaming pipelines' counters to this engine's."""
         for name, value in drain_stream_stats().items():
             self.stats.count(name, value)
-
-    def _load_persistent(
-        self, app: str, variant: str, digest: str
-    ) -> AppCharacterisation | None:
-        payload = self.cache.load_result_payload(app, variant, digest)
-        if payload is None:
-            return None
-        try:
-            return serialize.characterisation_from_dict(payload)
-        except (KeyError, TypeError, ValueError):
-            # Structurally valid JSON with a wrong/damaged schema:
-            # evict and resimulate.
-            self.cache.evict_result(app, variant, digest)
-            return None
 
     # -- fan-out -----------------------------------------------------------
 
@@ -398,9 +277,10 @@ class Engine:
         convert to :class:`repro.errors.SweepInterrupted`; an
         interrupted sweep continues via :meth:`resume`.
 
-        ``batch`` controls batched multi-config simulation (grouping
-        pending points that share a workload trace into one shared
-        trace pass); ``None`` defers to ``REPRO_BATCH`` (default on).
+        ``batch`` controls batched multi-config simulation (one
+        dispatch unit, and one shared trace pass, per ``(app,
+        variant)``; off, one point per unit); ``None`` defers to
+        ``REPRO_BATCH`` (default on).
         """
         return fan_out(
             self, points, jobs if jobs is not None else self.jobs,
@@ -462,15 +342,7 @@ class Engine:
             )
         points = state.reconstruct_points()
         unique_keys = state.unique_keys
-        # Accelerator results persist under the ``<variant>~accel``
-        # slot; map each journaled key to the slot its payload lives in.
-        slots = {
-            (papp, pvariant, config_digest(pconfig)): (
-                accel_slot(pvariant)
-                if isinstance(pconfig, AccelConfig) else pvariant
-            )
-            for papp, pvariant, pconfig in points
-        }
+        configs = {point_key(*point): point[2] for point in points}
         source_changed = state.source_digest != sim_source_digest()
         replayed = 0
         if source_changed:
@@ -479,43 +351,25 @@ class Engine:
                 "written; replay skipped, all points re-run"
             )
         else:
-            for key, recorded_digest in state.done.items():
-                if key not in set(unique_keys):
+            for key, recorded in state.done.items():
+                config = configs.get(key)
+                if config is None:
                     # A record for a point outside the header's sweep:
                     # ignore it rather than trusting a mismatched key.
                     continue
                 if key in self._memo:
                     replayed += 1
                     continue
-                app, variant, digest = key
-                slot = slots.get(key, variant)
                 started = time.perf_counter()
-                payload = self.cache.load_result_payload(
-                    app, slot, digest
+                # An entry that diverged from what the journal saw is
+                # quarantined, and the point re-runs.
+                result = self._load(key, config, recorded)
+                if result is None:
+                    continue
+                self._serve(
+                    key, result, time.perf_counter() - started,
+                    SOURCE_JOURNAL,
                 )
-                if payload is None:
-                    continue
-                if result_payload_digest(payload) != recorded_digest:
-                    # The cache diverged from what the journal saw:
-                    # quarantine the entry and re-simulate the point.
-                    self.cache.evict_result(app, slot, digest)
-                    continue
-                try:
-                    result = serialize.characterisation_from_dict(payload)
-                except (KeyError, TypeError, ValueError):
-                    self.cache.evict_result(app, slot, digest)
-                    continue
-                self._memo[key] = result
-                if isinstance(result, AccelEstimate):
-                    self._note_accel(result)
-                self.stats.record(PointRecord(
-                    app=app,
-                    variant=variant,
-                    config_digest=digest[:SHORT_DIGEST],
-                    wall_seconds=time.perf_counter() - started,
-                    instructions=result.merged.instructions,
-                    source=SOURCE_JOURNAL,
-                ))
                 replayed += 1
 
         journal = journal_module.RunJournal.reopen(self.cache.root, run_id)
@@ -534,34 +388,21 @@ class Engine:
             source_changed=source_changed,
         )
 
-    def prefetch(
-        self,
-        points: list[tuple[str, str, CoreConfig]],
-        jobs: int | None = None,
-        *,
-        on_error: str = "raise",
-        batch: bool | None = None,
-    ) -> None:
-        """Populate the memo for ``points`` (drivers then run serially)."""
-        self.characterize_many(points, jobs, on_error=on_error, batch=batch)
-
     def adopt(
         self,
         app: str,
         variant: str,
         config: CoreConfig,
         result: AppCharacterisation,
-        stats: EngineStats | None = None,
     ) -> None:
-        """Merge a worker-computed result (and its telemetry) back in.
+        """Memoise a worker-computed result.
 
         The worker persisted the entry to the shared cache directory
-        already (when persistence is on); adopting keeps the parent's
-        memo and telemetry coherent without a second disk round-trip.
+        already (when persistence is on), and the scheduler merges its
+        telemetry once per unit; adopting keeps the parent's memo
+        coherent without a second disk round-trip.
         """
-        self._memo[(app, variant, config_digest(config))] = result
-        if stats is not None:
-            self.stats.merge(stats)
+        self._memo[point_key(app, variant, config)] = result
 
     def memoised_results(self) -> list[AppCharacterisation]:
         """Every characterisation this engine currently holds in memory.

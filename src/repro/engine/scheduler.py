@@ -1,56 +1,59 @@
 """Fault-tolerant process-pool fan-out of design points.
 
 The scheduler deduplicates in-flight keys (a sweep that names the same
-(app, variant, config) twice simulates it once), fans the unique
-pending points out over a ``concurrent.futures`` process pool, and
-merges worker results — and worker telemetry — back into the parent
-engine. Workers share the parent's persistent cache directory, so a
-trace or result any worker generates is visible to every later run.
+(app, variant, config) twice simulates it once), folds the unique
+pending points into dispatch units, fans the units out over a
+``concurrent.futures`` process pool, and merges worker results — and
+worker telemetry — back into the parent engine. Workers share the
+parent's persistent cache directory, so a trace or result any worker
+generates is visible to every later run.
 
-Unlike a plain ``pool.map``, one bad point cannot abort the sweep:
+A unit is the pending points of one ``(app, variant)`` — within one run
+the trace-digest equivalence class (:func:`group_by_trace`) — or, with
+batching off (``REPRO_BATCH=off``), one point. Every unit runs the same
+way, in-process or in a pool worker: through
+:meth:`Engine.characterize_batch`, which decodes and frontend-walks the
+unit's workload trace once for all of its core configs. Results fan
+back into the memo, the persistent cache and the run journal exactly as
+if each point ran alone (byte-identical payloads, one ``point_done``
+record per point). Before the pool forks, every sweep decodes each
+trace-sharing group's trace once in the parent, so workers inherit the
+warm decode instead of re-inflating the same tracestore blob.
 
-* every point is submitted as its own future and carries a deadline
-  (``timeout`` / ``REPRO_POINT_TIMEOUT``; a hung worker is reclaimed by
-  killing and rebuilding the pool);
-* a worker exception, crash, or timeout is retried with exponential
+Unlike a plain ``pool.map``, one bad point cannot abort the sweep. The
+serial and pool loops share one failure policy:
+
+* a unit of several points that fails — worker exception, crash, or
+  deadline — splits into one-point units and bills no point, so
+  batching can change throughput but never which points succeed;
+* a one-point unit is billed an attempt and retried with exponential
   backoff up to ``retries`` (``REPRO_POINT_RETRIES``) extra attempts;
-* a worker process dying (``BrokenProcessPool``) rebuilds the pool and
-  resumes the remaining points; because the crash takes every in-flight
-  future down with it, the victims are resubmitted **one at a time**
-  (uncharged) so the culprit is identified exactly and innocent points
-  are never billed for someone else's crash;
-* if the pool keeps dying (more than ``max_rebuilds`` rebuilds) the
-  remaining points degrade gracefully to serial in-process execution;
-* points that still fail after retries become structured
-  :class:`~repro.engine.telemetry.PointFailure` telemetry. Under
+  a point that still fails becomes a structured
+  :class:`~repro.engine.telemetry.PointFailure`. Under
   ``on_error="raise"`` (the default) the sweep then raises
   :class:`~repro.errors.SweepError` naming exactly the failed points;
   under ``on_error="keep_going"`` the completed points are returned in
   input order with ``None`` in the failed slots.
 
+The pool loop adds what only worker processes allow:
+
+* every unit carries a deadline, ``timeout`` (``REPRO_POINT_TIMEOUT``)
+  per point it holds; a hung worker is reclaimed by killing and
+  rebuilding the pool;
+* a worker process dying (``BrokenProcessPool``) rebuilds the pool and
+  resumes the remaining units; because the crash takes every in-flight
+  future down with it, the victims are resubmitted **one at a time**
+  (unbilled) so the culprit is identified exactly and innocent points
+  are never billed for someone else's crash;
+* if the pool keeps dying (more than ``max_rebuilds`` rebuilds) the
+  remaining units degrade gracefully to the serial loop.
+
 Job count resolution: explicit argument, else the ``REPRO_JOBS``
-environment variable, else ``os.cpu_count()``. The serial paths
-(``jobs=1`` or a single pending unit) run in-process: retries and
+environment variable, else ``os.cpu_count()``. The serial loop
+(``jobs=1`` or a single pending unit) runs in-process: retries and
 failure records still apply, but timeouts are not enforced and a
 hard-crashing point takes the parent down — use ``jobs >= 2`` when
 fault isolation matters.
-
-Batched multi-config simulation (``REPRO_BATCH``, default on): pending
-points that share a workload trace — the same ``(app, variant)``, which
-within one run is the trace-digest equivalence class
-(:func:`group_by_trace`) — are dispatched as one :class:`_BatchTask`
-whose worker decodes the trace once and drives every config through
-:meth:`Engine.characterize_batch`. Results fan back into the memo, the
-persistent cache and the run journal exactly as if each point ran
-alone (byte-identical payloads, one ``point_done`` record per point).
-A batch is never retried as a unit: any failure — worker exception,
-crash, or deadline — explodes it back into its constituent points,
-which then retry under the normal per-point policy, so a single bad
-point can only ever fail itself. Sweeps with a custom ``worker`` (test
-instrumentation) never batch. Independently of batching, every sweep
-prewarms the in-memory trace decode once per trace-sharing group
-before the pool forks, so non-batched workers inherit warm decodes
-instead of re-inflating the same tracestore blob per point.
 
 Parallel output is byte-identical to serial output because every point
 is deterministic, simulated on a fresh core, and results are merged
@@ -88,7 +91,7 @@ _INTERRUPT_POLL_SECONDS = 0.25
 
 #: Telemetry/SweepError caveat for the in-process execution path.
 SERIAL_TIMEOUT_NOTE = (
-    "serial path (jobs=1 or a single pending point): per-point timeouts "
+    "serial path (jobs=1 or a single pending unit): per-point timeouts "
     "are not enforced, so a hang is the design point itself, not a "
     "scheduler fault; use jobs >= 2 to enforce deadlines"
 )
@@ -179,23 +182,22 @@ def resolve_batch(batch: bool | None = None) -> bool:
     return env not in ("off", "0", "false", "no")
 
 
-def group_by_trace(tasks) -> dict:
-    """Group pending tasks by the workload trace their points replay.
+def group_by_trace(keys) -> dict:
+    """Group point keys by the workload trace their points replay.
 
     Two design points share a trace pass iff they name the same
     ``(app, variant)`` pair: the trace store content-addresses traces
     by workload and source digest, so within a single run the pair *is*
     the trace-digest equivalence class. Returns
-    ``{(app, variant): [task, ...]}`` in first-seen order.
+    ``{(app, variant): [key, ...]}`` in first-seen order.
     """
     groups: dict = {}
-    for task in tasks:
-        app, variant, _ = task.point
-        groups.setdefault((app, variant), []).append(task)
+    for key in keys:
+        groups.setdefault(key[:2], []).append(key)
     return groups
 
 
-def _prewarm_traces(tasks, engine) -> None:
+def _prewarm_traces(pending: dict, engine) -> None:
     """Decode each trace-sharing group's workload trace exactly once.
 
     Runs in the parent before the pool is created, so forked workers
@@ -210,25 +212,25 @@ def _prewarm_traces(tasks, engine) -> None:
     from repro.perf.characterize import background_trace, kernel_trace
 
     cache = engine.cache
-    for (app, variant), group in group_by_trace(tasks).items():
+    for (app, variant), keys in group_by_trace(pending).items():
         # Accelerator points never replay a workload trace — warming
         # one for them would pay the decode for nothing.
-        group = [
-            task for task in group
-            if not isinstance(task.point[2], AccelConfig)
+        keys = [
+            key for key in keys
+            if not isinstance(pending[key], AccelConfig)
             and not (
                 cache.enabled
-                and cache.result_path(app, variant, task.key[2]).exists()
+                and cache.result_path(app, variant, key[2]).exists()
             )
         ]
-        if not group:
+        if not keys:
             continue
         try:
             kernel_trace(app, variant)
             background_trace(app)
         except Exception:
             continue
-        engine.stats.count("batch.decode_reuse_hits", len(group) - 1)
+        engine.stats.count("batch.decode_reuse_hits", len(keys) - 1)
 
 
 def _pool_context():
@@ -256,32 +258,15 @@ def _worker_init(graceful_parent: bool) -> None:
 
 
 def _characterize_worker(task):
-    """Run one design point in a worker process (module-level: picklable).
+    """Run one unit in a worker process (module-level: picklable).
 
-    The worker re-points its process-wide cache at the parent's
-    directory explicitly (the perf-layer trace store persists through
-    the process-wide cache, not the engine's private one), then runs the
-    point on a process-wide-cache-backed engine so trace and result
-    counters both land in the returned telemetry.
-    """
-    app, variant, config, cache_root = task
-    from repro.engine.cache import use_cache_dir
-    from repro.engine.engine import Engine
-
-    use_cache_dir(cache_root)
-    engine = Engine()
-    result = engine.characterize(app, variant, config)
-    return app, variant, config, result, engine.stats
-
-
-def _characterize_batch_worker(task):
-    """Run one trace-sharing batch in a worker process (picklable).
-
-    Mirrors :func:`_characterize_worker` but drives every config of the
-    group through :meth:`Engine.characterize_batch`, so the shared
-    workload trace is decoded and frontend-walked once for the whole
-    batch. Returns the ordered results plus the worker's telemetry
-    (one :class:`PointRecord` per point, batch counters included).
+    ``task`` is ``(app, variant, configs, cache_root)``. The worker
+    re-points its process-wide cache at the parent's directory
+    explicitly (the perf-layer trace store persists through the
+    process-wide cache, not the engine's private one), then runs the
+    unit through :meth:`Engine.characterize_batch` on a
+    process-wide-cache-backed engine, so trace and result counters both
+    land in the returned telemetry.
     """
     app, variant, configs, cache_root = task
     from repro.engine.cache import use_cache_dir
@@ -289,57 +274,38 @@ def _characterize_batch_worker(task):
 
     use_cache_dir(cache_root)
     engine = Engine()
-    results = engine.characterize_batch(app, variant, list(configs))
-    return app, variant, results, engine.stats
+    return engine.characterize_batch(app, variant, configs), engine.stats
 
 
-class _Task:
-    """One pending point's scheduling state."""
+class _Unit:
+    """Pending points of one ``(app, variant)``, dispatched together.
 
-    __slots__ = ("key", "point", "attempts")
-
-    def __init__(self, key, point):
-        self.key = key
-        self.point = point
-        self.attempts = 0
-
-
-class _BatchTask:
-    """Scheduling state for one trace-sharing group of pending points.
-
-    Dispatched as a single unit through
-    :func:`_characterize_batch_worker` (pool) or
-    :meth:`Engine.characterize_batch` (serial). Never retried as a
-    unit: any failure explodes the batch back into its constituent
-    :class:`_Task` objects, which retry under the normal per-point
-    policy — so batching can change throughput but never which points
-    succeed or fail.
+    ``attempts`` bills a one-point unit. A unit of several points is
+    never billed: when it fails it splits into one-point units.
     """
 
-    __slots__ = ("key", "app", "variant", "tasks", "attempts")
+    __slots__ = ("app", "variant", "keys", "configs", "attempts")
 
-    def __init__(self, app, variant, tasks):
-        self.key = ("batch", app, variant)
-        self.app = app
-        self.variant = variant
-        self.tasks = tasks
+    def __init__(self, keys: list, configs: list) -> None:
+        self.app, self.variant = keys[0][:2]
+        self.keys = keys
+        self.configs = configs
         self.attempts = 0
 
+    def split(self) -> list["_Unit"]:
+        return [
+            _Unit([key], [config])
+            for key, config in zip(self.keys, self.configs)
+        ]
 
-def _batch_tasks(tasks) -> list:
-    """Fold trace-sharing groups of two or more points into batches.
 
-    Singleton groups stay plain :class:`_Task`s — there is no decode to
-    share, and :meth:`Engine.characterize` already simulates its point
-    as a one-config batch, without the batch bookkeeping.
-    """
-    out: list = []
-    for (app, variant), group in group_by_trace(tasks).items():
-        if len(group) >= 2:
-            out.append(_BatchTask(app, variant, group))
-        else:
-            out.extend(group)
-    return out
+def _units(pending: dict, batch: bool) -> list[_Unit]:
+    """Fold ``{key: config}`` into dispatch units, in first-seen order:
+    one per ``(app, variant)`` with ``batch``, else one per point."""
+    groups = group_by_trace(pending).values() if batch else (
+        [key] for key in pending
+    )
+    return [_Unit(keys, [pending[key] for key in keys]) for keys in groups]
 
 
 class _Interrupted(Exception):
@@ -400,21 +366,21 @@ class _InterruptWatch:
             raise _Interrupted(self.signal_name)
 
 
-def _point_failure(task: _Task, kind: str, error_type: str, message: str,
+def _point_failure(unit: _Unit, kind: str, error_type: str, message: str,
                    tb: str):
-    from repro.engine.digest import SHORT_DIGEST, config_digest
+    from repro.engine.digest import SHORT_DIGEST
     from repro.engine.telemetry import PointFailure
 
-    app, variant, config = task.point
+    ((app, variant, digest),) = unit.keys
     return PointFailure(
         app=app,
         variant=variant,
-        config_digest=config_digest(config)[:SHORT_DIGEST],
+        config_digest=digest[:SHORT_DIGEST],
         kind=kind,
         error_type=error_type,
         message=message,
         traceback=tb,
-        attempts=task.attempts,
+        attempts=unit.attempts,
     )
 
 
@@ -467,68 +433,88 @@ def _journal_failed(journal, key, failure) -> None:
         )
 
 
-def _run_serial(engine, tasks, retries: int, backoff: float,
-                journal=None, watch=None) -> dict:
-    """Run ``tasks`` in-process with bounded retries; returns failures.
+class _Policy:
+    """The one failure policy of the serial and pool loops.
+
+    Owns the queue of units both loops drain, the failures recorded so
+    far and the journal the outcomes go to.
+    """
+
+    def __init__(self, units, retries: int, backoff: float,
+                 journal=None) -> None:
+        self.queue: deque = deque(units)
+        self.failures: dict = {}
+        self.retries = retries
+        self.backoff = backoff
+        self.journal = journal
+
+    def done(self, unit: _Unit, results) -> None:
+        for key, result in zip(unit.keys, results):
+            _journal_done(self.journal, key, result)
+
+    def failed(self, unit: _Unit, kind: str, error_type: str,
+               message: str, tb: str) -> list[_Unit]:
+        """Settle one failed attempt; returns the units requeued.
+
+        A unit of several points splits into one-point units, none of
+        them billed, so a bad point can only ever fail itself. A
+        one-point unit, already billed this attempt, is retried with
+        backoff while it has attempts left and recorded otherwise.
+        Requeued units go to the front of the queue.
+        """
+        if len(unit.keys) > 1:
+            requeued = unit.split()
+        elif unit.attempts > self.retries:
+            failure = _point_failure(unit, kind, error_type, message, tb)
+            self.failures[unit.keys[0]] = failure
+            _journal_failed(self.journal, unit.keys[0], failure)
+            return []
+        else:
+            time.sleep(self.backoff * (2 ** (unit.attempts - 1)))
+            requeued = [unit]
+        self.queue.extendleft(reversed(requeued))
+        return requeued
+
+
+def _run_serial(engine, policy: _Policy, watch=None) -> None:
+    """Drain ``policy.queue`` in-process.
 
     Per-point deadlines are **not** enforced here (there is no worker
     process to kill): see :data:`SERIAL_TIMEOUT_NOTE`. A graceful-stop
-    signal is honoured between points — an in-flight point runs to
+    signal is honoured between units — an in-flight unit runs to
     completion first.
     """
     from repro.engine.telemetry import FAILURE_EXCEPTION
 
-    failures: dict = {}
-    queue: deque = deque(tasks)
+    queue = policy.queue
     while queue:
-        task = queue.popleft()
         if watch is not None:
             watch.check()
-        if isinstance(task, _BatchTask):
-            try:
-                results = engine.characterize_batch(
-                    task.app, task.variant,
-                    [t.point[2] for t in task.tasks],
-                )
-            except Exception:
-                # Never charged and never retried as a unit: the points
-                # re-run individually so a bad point only fails itself.
-                queue.extendleft(reversed(task.tasks))
-            else:
-                for t, result in zip(task.tasks, results):
-                    _journal_done(journal, t.key, result)
-            continue
-        while True:
-            task.attempts += 1
-            try:
-                app, variant, config = task.point
-                result = engine.characterize(app, variant, config)
-            except Exception as exc:
-                if task.attempts > retries:
-                    failure = _point_failure(
-                        task, FAILURE_EXCEPTION, type(exc).__name__,
-                        str(exc), traceback_module.format_exc(),
-                    )
-                    failures[task.key] = failure
-                    _journal_failed(journal, task.key, failure)
-                    break
-                time.sleep(backoff * (2 ** (task.attempts - 1)))
-            else:
-                _journal_done(journal, task.key, result)
-                break
-    return failures
+        unit = queue.popleft()
+        unit.attempts += 1
+        try:
+            results = engine.characterize_batch(
+                unit.app, unit.variant, unit.configs
+            )
+        except Exception as exc:
+            policy.failed(
+                unit, FAILURE_EXCEPTION, type(exc).__name__, str(exc),
+                traceback_module.format_exc(),
+            )
+        else:
+            policy.done(unit, results)
 
 
-def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
-              retries: int, backoff: float, max_rebuilds: int,
-              journal=None, watch=None) -> dict:
-    """Drain ``tasks`` through a self-healing process pool.
+def _run_pool(engine, policy: _Policy, workers: int, worker,
+              timeout: float | None, max_rebuilds: int,
+              watch=None) -> None:
+    """Drain ``policy.queue`` through a self-healing process pool.
 
-    Returns a ``{key: PointFailure}`` map for the points that failed
-    after retries; every success is adopted into ``engine`` directly
-    (and journaled, when a journal is attached). A graceful-stop signal
-    kills the pool immediately — every already-journaled completion is
-    durable, so only the in-flight window is lost.
+    Every success is adopted into ``engine`` directly (and journaled,
+    when a journal is attached); failures settle through ``policy``. A
+    graceful-stop signal kills the pool immediately — every
+    already-journaled completion is durable, so only the in-flight
+    window is lost.
     """
     from repro.engine.telemetry import (
         FAILURE_CRASH,
@@ -538,88 +524,64 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
 
     context = _pool_context()
     cache_root = engine.cache.root
-    queue: deque = deque(tasks)
-    failures: dict = {}
-    #: Keys of the points that were in flight when a pool died. While
-    #: any remain, submission narrows to one point at a time so the next
-    #: crash is attributable to exactly one point.
+    queue = policy.queue
+    #: Units that were in flight when a pool died. While any remain,
+    #: submission narrows to one unit at a time so the next crash is
+    #: attributable to exactly one unit.
     suspects: set = set()
     rebuilds = 0
     pool = None
-    in_flight: dict = {}  # future -> (task, deadline)
+    in_flight: dict = {}  # future -> (unit, deadline)
 
-    def charge(task, kind, error_type, message, tb):
-        """Bill one attempt; requeue with backoff or record the failure."""
-        suspects.discard(task.key)
-        if task.attempts > retries:
-            failure = _point_failure(task, kind, error_type, message, tb)
-            failures[task.key] = failure
-            _journal_failed(journal, task.key, failure)
-        else:
-            if kind == FAILURE_CRASH:
-                # Still a crash suspect on its next (isolated) attempt.
-                suspects.add(task.key)
-            time.sleep(backoff * (2 ** (task.attempts - 1)))
-            queue.append(task)
+    def fail(unit, kind, error_type, message, tb):
+        suspects.discard(unit)
+        requeued = policy.failed(unit, kind, error_type, message, tb)
+        if kind == FAILURE_CRASH:
+            # Still crash suspects on their next (isolated) attempts.
+            suspects.update(requeued)
 
-    def explode(task, suspect=False):
-        """A failed batch requeues its constituents as individual points.
-
-        The batch attempt is never billed to the points (their own
-        attempt counters are untouched); with ``suspect`` the
-        constituents drain one at a time so a crashing point is
-        identified exactly.
-        """
-        suspects.discard(task.key)
-        for t in task.tasks:
-            if suspect:
-                suspects.add(t.key)
-            queue.append(t)
+    def spare(unit):
+        """A victim of someone else's fault: refund its attempt and
+        isolate it while it drains."""
+        unit.attempts -= 1
+        suspects.add(unit)
+        queue.append(unit)
 
     def submit_ready():
         if suspects:
             # Surface suspects first, one at a time, so a repeat crash
             # names its culprit exactly.
-            ordered = sorted(queue, key=lambda t: t.key not in suspects)
+            ordered = sorted(queue, key=lambda unit: unit not in suspects)
             queue.clear()
             queue.extend(ordered)
         window = 1 if suspects else workers
         while queue and len(in_flight) < window:
-            task = queue.popleft()
-            task.attempts += 1
+            unit = queue.popleft()
+            unit.attempts += 1
             try:
-                if isinstance(task, _BatchTask):
-                    future = pool.submit(
-                        _characterize_batch_worker,
-                        (task.app, task.variant,
-                         [t.point[2] for t in task.tasks], cache_root),
-                    )
-                else:
-                    future = pool.submit(worker, (*task.point, cache_root))
+                future = pool.submit(
+                    worker,
+                    (unit.app, unit.variant, unit.configs, cache_root),
+                )
             except BrokenProcessPool:
                 # The pool died under a crash we have not drained yet:
-                # put the task back uncharged and let the caller rebuild.
-                task.attempts -= 1
-                queue.appendleft(task)
+                # put the unit back unbilled and let the caller rebuild.
+                unit.attempts -= 1
+                queue.appendleft(unit)
                 raise
-            # A batch's deadline scales with its size: it is doing the
-            # work of len(tasks) points in one future.
-            scale = len(task.tasks) if isinstance(task, _BatchTask) else 1
+            # A unit's deadline scales with the points it holds.
             deadline = (
-                time.monotonic() + timeout * scale
+                time.monotonic() + timeout * len(unit.keys)
                 if timeout is not None else None
             )
-            in_flight[future] = (task, deadline)
+            in_flight[future] = (unit, deadline)
 
     def abandon_pool(kill):
-        """Kill/shut the pool; requeue uncharged victims; count a rebuild."""
+        """Kill/shut the pool; spare the in-flight units; count a
+        rebuild."""
         nonlocal pool, rebuilds
-        for future, (task, _) in list(in_flight.items()):
-            # The pool died around them, not because of them: refund the
-            # attempt, but isolate them while they drain.
-            task.attempts -= 1
-            suspects.add(task.key)
-            queue.append(task)
+        for unit, _ in in_flight.values():
+            spare(unit)
         in_flight.clear()
         _shutdown_pool(pool, kill=kill)
         pool = None
@@ -640,14 +602,7 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
                 if rebuilds > max_rebuilds:
                     # The pool keeps dying: finish the remainder serially.
                     engine.stats.count("recovery.serial_fallbacks")
-                    remaining = list(queue)
-                    queue.clear()
-                    failures.update(
-                        _run_serial(
-                            engine, remaining, retries, backoff,
-                            journal=journal, watch=watch,
-                        )
-                    )
+                    _run_serial(engine, policy, watch=watch)
                     break
                 pool = ProcessPoolExecutor(
                     max_workers=workers, mp_context=context,
@@ -684,60 +639,37 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
 
             crashed: list = []
             for future in done:
-                task, _ = in_flight.pop(future)
+                unit, _ = in_flight.pop(future)
                 try:
-                    payload = future.result()
+                    results, stats = future.result()
                 except BrokenProcessPool as exc:
-                    crashed.append((task, exc))
+                    crashed.append((unit, exc))
                 except Exception as exc:
-                    if isinstance(task, _BatchTask):
-                        # One bad point must not fail the group: run the
-                        # constituents individually instead.
-                        explode(task)
-                        continue
-                    # The worker raised but the pool survived: a plain
-                    # per-point failure, charged and bounded-retried.
-                    charge(
-                        task, FAILURE_EXCEPTION, type(exc).__name__,
+                    # The worker raised but the pool survived.
+                    fail(
+                        unit, FAILURE_EXCEPTION, type(exc).__name__,
                         str(exc),
                         "".join(traceback_module.format_exception(exc)),
                     )
                 else:
-                    if isinstance(task, _BatchTask):
-                        app, variant, results, stats = payload
-                        engine.stats.merge(stats)
-                        for t, result in zip(task.tasks, results):
-                            engine.adopt(app, variant, t.point[2], result)
-                            _journal_done(journal, t.key, result)
-                        suspects.discard(task.key)
-                    else:
-                        app, variant, config, result, stats = payload
-                        engine.adopt(app, variant, config, result, stats)
-                        suspects.discard(task.key)
-                        _journal_done(journal, task.key, result)
+                    engine.stats.merge(stats)
+                    for config, result in zip(unit.configs, results):
+                        engine.adopt(unit.app, unit.variant, config, result)
+                    suspects.discard(unit)
+                    policy.done(unit, results)
 
             if crashed:
                 if len(crashed) == 1 and not in_flight:
                     # Exactly one unit was in flight: the crash is its.
-                    task, exc = crashed[0]
-                    if isinstance(task, _BatchTask):
-                        # Any constituent may be the culprit: drain them
-                        # one at a time so the next crash names it.
-                        explode(task, suspect=True)
-                    else:
-                        charge(
-                            task, FAILURE_CRASH, type(exc).__name__,
-                            str(exc), "",
-                        )
+                    unit, exc = crashed[0]
+                    fail(
+                        unit, FAILURE_CRASH, type(exc).__name__, str(exc),
+                        "",
+                    )
                 else:
-                    # Ambiguous: refund everyone, isolate, retry singly.
-                    for task, _ in crashed:
-                        if isinstance(task, _BatchTask):
-                            explode(task, suspect=True)
-                        else:
-                            task.attempts -= 1
-                            suspects.add(task.key)
-                            queue.append(task)
+                    # Ambiguous: spare everyone; they retry one at a time.
+                    for unit, _ in crashed:
+                        spare(unit)
                 abandon_pool(kill=True)
                 continue
 
@@ -750,23 +682,17 @@ def _run_pool(engine, tasks, workers: int, worker, timeout: float | None,
                 ]
                 if expired:
                     for future in expired:
-                        task, _ = in_flight.pop(future)
-                        if isinstance(task, _BatchTask):
-                            # Too slow as a group: fall back to points
-                            # with their own per-point deadlines.
-                            explode(task)
-                            continue
-                        charge(
-                            task, FAILURE_TIMEOUT, "TimeoutError",
+                        unit, _ = in_flight.pop(future)
+                        fail(
+                            unit, FAILURE_TIMEOUT, "TimeoutError",
                             f"design point exceeded {timeout:g}s", "",
                         )
                     # A hung worker can only be reclaimed by killing the
-                    # pool; the survivors are requeued uncharged.
+                    # pool; the survivors are spared.
                     abandon_pool(kill=True)
     finally:
         if pool is not None:
             _shutdown_pool(pool)
-    return failures
 
 
 def fan_out(
@@ -808,10 +734,10 @@ def fan_out(
     run (the scheduler then owns and closes it), or ``journal=False``
     to disable durability entirely.
 
-    ``batch`` enables trace-sharing batch dispatch (module docstring);
-    ``None`` defers to ``REPRO_BATCH`` (default on). A custom
-    ``worker`` disables batching — instrumented workers must see every
-    point individually.
+    ``batch`` folds each ``(app, variant)``'s pending points into one
+    unit (module docstring); ``None`` defers to ``REPRO_BATCH``
+    (default on). ``worker`` replaces the pool worker function (tests
+    instrument it); it receives the same units the default one does.
     """
     from repro.engine.digest import point_key
     from repro.engine.journal import RunJournal
@@ -827,22 +753,21 @@ def fan_out(
     backoff = resolve_backoff(backoff)
     if max_rebuilds is None:
         max_rebuilds = DEFAULT_MAX_REBUILDS
-    custom_worker = worker is not None
-    use_batch = resolve_batch(batch) and not custom_worker
+    batch = resolve_batch(batch)
     if worker is None:
         worker = _characterize_worker
 
     engine.stats.jobs = max(engine.stats.jobs, jobs)
 
     keys = [point_key(app, variant, config) for app, variant, config in points]
-    pending: dict[tuple, _Task] = {}
-    for key, point in zip(keys, points):
+    pending: dict = {}  # key -> config
+    for key, (_, _, config) in zip(keys, points):
         if key in engine._memo or key in pending:
             # Served from memory when the ordered output is assembled —
             # a real memo hit, counted once per duplicate request.
             engine.stats.memo_hits += 1
         else:
-            pending[key] = _Task(key, point)
+            pending[key] = config
 
     journal_obj: RunJournal | None = None
     if isinstance(journal, RunJournal):
@@ -868,31 +793,24 @@ def fan_out(
     before = dict(engine.stats.counters)
     try:
         if pending:
-            tasks = list(pending.values())
-            if not custom_worker:
-                # One decode per trace-sharing group, before any fork,
-                # so workers inherit the warm decode (satellite of the
-                # batched-simulation work; helps the non-batched path
-                # and the serial path alike).
-                _prewarm_traces(tasks, engine)
-            if use_batch:
-                tasks = _batch_tasks(tasks)
+            # One decode per trace-sharing group, before any fork, so
+            # workers inherit the warm decode.
+            _prewarm_traces(pending, engine)
+            units = _units(pending, batch)
+            policy = _Policy(units, retries, backoff, journal=journal_obj)
             with _InterruptWatch() if journal_obj is not None \
                     else _NullWatch() as watch:
-                if jobs == 1 or len(tasks) == 1:
+                if jobs == 1 or len(units) == 1:
                     if timeout is not None:
                         serial_notes.append(SERIAL_TIMEOUT_NOTE)
                         engine.stats.note(SERIAL_TIMEOUT_NOTE)
-                    failures = _run_serial(
-                        engine, tasks, retries, backoff,
-                        journal=journal_obj, watch=watch,
-                    )
+                    _run_serial(engine, policy, watch=watch)
                 else:
-                    failures = _run_pool(
-                        engine, tasks, min(jobs, len(tasks)), worker,
-                        timeout, retries, backoff, max_rebuilds,
-                        journal=journal_obj, watch=watch,
+                    _run_pool(
+                        engine, policy, min(jobs, len(units)), worker,
+                        timeout, max_rebuilds, watch=watch,
                     )
+            failures = policy.failures
         if journal_obj is not None:
             delta = {
                 name: value - before.get(name, 0)

@@ -54,7 +54,7 @@ def prefetch_points(
     controls trace-sharing batched simulation (``None`` defers to
     ``REPRO_BATCH``, default on).
     """
-    default_engine().prefetch(points, jobs, batch=batch)
+    default_engine().characterize_many(points, jobs, batch=batch)
 
 
 def clear_cache(persistent: bool = False) -> int:

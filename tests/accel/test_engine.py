@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.accel import AccelEstimate, accel_slot, aphmm, bioseal
+from repro.accel import AccelEstimate, accel_slot, aphmm, bioseal, estimate
+from repro.accel.lab import estimate_to_dict
 from repro.engine import cache as cache_module
 from repro.engine import serialize
 from repro.engine.engine import Engine
@@ -69,6 +70,62 @@ class TestRouting:
         assert counters["accel.aphmm_points"] == 1
         assert counters["accel.offload_cycles"] > 0
         assert counters["accel.transfer_cycles"] > 0
+
+
+class TestAccelSlot:
+    """The engine's one loader on the accelerator slot: an entry it
+    cannot trust is evicted and the estimate computed again."""
+
+    CONFIG = bioseal().with_class("A")
+
+    def test_miss_then_disk_hit(self, fresh_engine):
+        first = fresh_engine.characterize("blast", "baseline", self.CONFIG)
+        rerun = Engine(cache_dir=fresh_engine.cache.root)
+        second = rerun.characterize("blast", "baseline", self.CONFIG)
+        assert fresh_engine.stats.points[-1].source == "simulated"
+        assert rerun.stats.points[-1].source == "disk"
+        assert second == first
+
+    def test_corrupt_entry_evicted_and_recomputed(self, fresh_engine):
+        est = fresh_engine.characterize("blast", "baseline", self.CONFIG)
+        broken = estimate_to_dict(est)
+        del broken["result"]["host_cycles"]
+        fresh_engine.cache.store_result_payload(
+            "blast", accel_slot("baseline"), config_digest(self.CONFIG),
+            broken,
+        )
+        healer = Engine(cache_dir=fresh_engine.cache.root)
+        healed = healer.characterize("blast", "baseline", self.CONFIG)
+        assert healer.stats.points[-1].source == "simulated"
+        assert healer.stats.cache.evictions == 1
+        assert healed == est
+        # The recomputed entry is good again.
+        rerun = Engine(cache_dir=fresh_engine.cache.root)
+        rerun.characterize("blast", "baseline", self.CONFIG)
+        assert rerun.stats.points[-1].source == "disk"
+
+    def test_misaddressed_entry_evicted(self, fresh_engine):
+        other = estimate("fasta", "baseline", self.CONFIG)
+        fresh_engine.cache.store_result_payload(
+            "blast", accel_slot("baseline"), config_digest(self.CONFIG),
+            estimate_to_dict(other),
+        )
+        healed = fresh_engine.characterize("blast", "baseline", self.CONFIG)
+        assert fresh_engine.stats.points[-1].source == "simulated"
+        assert fresh_engine.stats.cache.evictions == 1
+        assert healed.app == "blast"
+
+    def test_core_slot_holding_an_estimate_is_evicted(self, fresh_engine):
+        """The slot follows the config's type, and so must the entry."""
+        config = power5()
+        fresh_engine.cache.store_result_payload(
+            "clustalw", "baseline", config_digest(config),
+            estimate_to_dict(estimate("clustalw", "baseline", self.CONFIG)),
+        )
+        result = fresh_engine.characterize("clustalw", "baseline", config)
+        assert not isinstance(result, AccelEstimate)
+        assert fresh_engine.stats.points[-1].source == "simulated"
+        assert fresh_engine.stats.cache.evictions == 1
 
 
 class TestMixedSweeps:

@@ -1,4 +1,8 @@
-"""The estimation lab: batching, payloads, and the persistent store."""
+"""The estimation lab: batching and payloads.
+
+The persistent store is exercised through the engine, in
+``tests/accel/test_engine.py``.
+"""
 
 import pytest
 
@@ -6,13 +10,11 @@ from repro.accel import (
     accel_slot,
     aphmm,
     bioseal,
-    cached_estimate,
     estimate,
     estimate_many,
     workload_batch,
 )
 from repro.accel.lab import estimate_from_dict, estimate_to_dict
-from repro.engine.cache import PersistentCache
 from repro.engine.digest import config_digest
 from repro.errors import SimulationError
 
@@ -105,39 +107,3 @@ class TestPayload:
         payload = estimate_to_dict(estimate("blast", "baseline", bioseal()))
         assert payload["backend"] == "bioseal"
 
-
-class TestCachedEstimate:
-    def test_miss_then_hit(self, tmp_path):
-        cache = PersistentCache(tmp_path / "cache")
-        config = bioseal().with_class("A")
-        first, hit1 = cached_estimate("blast", "baseline", config, cache)
-        second, hit2 = cached_estimate("blast", "baseline", config, cache)
-        assert (hit1, hit2) == (False, True)
-        assert first == second
-
-    def test_corrupt_payload_evicted_and_recomputed(self, tmp_path):
-        cache = PersistentCache(tmp_path / "cache")
-        config = bioseal().with_class("A")
-        est, _ = cached_estimate("blast", "baseline", config, cache)
-        digest = config_digest(config)
-        slot = accel_slot("baseline")
-        broken = estimate_to_dict(est)
-        del broken["result"]["host_cycles"]
-        cache.store_result_payload("blast", slot, digest, broken)
-        healed, hit = cached_estimate("blast", "baseline", config, cache)
-        assert hit is False  # corrupt entry evicted, not trusted
-        assert healed == est
-        _, rehit = cached_estimate("blast", "baseline", config, cache)
-        assert rehit is True  # the healed entry is good again
-
-    def test_misaddressed_payload_evicted(self, tmp_path):
-        cache = PersistentCache(tmp_path / "cache")
-        config = bioseal().with_class("A")
-        other = estimate("fasta", "baseline", config)
-        cache.store_result_payload(
-            "blast", accel_slot("baseline"), config_digest(config),
-            estimate_to_dict(other),
-        )
-        healed, hit = cached_estimate("blast", "baseline", config, cache)
-        assert hit is False
-        assert healed.app == "blast"

@@ -170,6 +170,9 @@ class TestJournalCompatibility:
                 if not name.startswith("stream.")
             }
         assert journaled[1] == journaled[2]
-        assert journaled[1]["batch.points"] == 2
+        # Two core groups: clustalw baseline's pair and the one-point
+        # combination group.
+        assert journaled[1]["batch.groups"] == 2
+        assert journaled[1]["batch.points"] == 3
         assert journaled[1]["accel.points"] == 3
         assert journaled[1]["accel.aphmm_points"] == 1

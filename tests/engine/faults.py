@@ -2,18 +2,19 @@
 
 The harness wraps the real pool worker with a fault layer driven by a
 JSON plan on disk (pointed at by the ``REPRO_FAULT_PLAN`` environment
-variable, which forked/spawned workers inherit). A plan maps
-``"app:variant"`` to ``[mode, times]``:
+variable, which forked/spawned workers inherit). The worker receives
+one dispatch unit (the pending points of one ``app:variant``, or one
+point of it), and a plan maps ``"app:variant"`` to ``[mode, times]``:
 
 * ``mode`` — ``"raise"`` (worker raises :class:`InjectedFault`),
   ``"exit"`` (worker hard-exits via ``os._exit``, breaking the pool),
   or ``"hang"`` (worker sleeps until killed);
-* ``times`` — how many attempts fault before the point runs clean;
+* ``times`` — how many attempts fault before the unit runs clean;
   ``-1`` faults on every attempt.
 
 Attempt accounting is cross-process and deterministic: each faulting
 attempt claims a token file with ``O_CREAT | O_EXCL`` next to the plan,
-so retried points see exactly the configured number of faults no
+so retried units see exactly the configured number of faults no
 matter which worker process runs them.
 """
 
@@ -64,7 +65,7 @@ def install_plan(plan_dir: Path, monkeypatch, faults: dict) -> Path:
 
 def faulty_worker(task):
     """Drop-in for the scheduler's worker that injects planned faults."""
-    app, variant, _config, _cache_root = task
+    app, variant, _configs, _cache_root = task
     plan_dir = Path(os.environ[ENV_PLAN])
     plan = json.loads((plan_dir / "plan.json").read_text(encoding="utf-8"))
     spec = plan.get(f"{app}:{variant}")
@@ -88,7 +89,7 @@ def counting_worker(task):
     so counts are exact across worker processes). Resume tests use it to
     prove journaled-done points are never re-submitted.
     """
-    app, variant, _config, _cache_root = task
+    app, variant, _configs, _cache_root = task
     count_dir = Path(os.environ[ENV_COUNT])
     stem = f"{app}_{variant}"
     index = 0

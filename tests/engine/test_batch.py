@@ -1,8 +1,8 @@
 """Batched multi-config dispatch: grouping, equivalence, durability.
 
 The scheduler folds pending points that share a workload trace into
-one :class:`_BatchTask` per ``(app, variant)`` group; these tests pin
-the contract that batching is *invisible* except for throughput and
+one dispatch unit per ``(app, variant)`` group; these tests pin the
+contract that batching is *invisible* except for throughput and
 telemetry — byte-identical results and cache entries, one journal
 record per point, per-point (never batch-level) failures.
 """
@@ -14,10 +14,8 @@ from repro.engine import scheduler
 from repro.engine.engine import Engine
 from repro.engine.journal import load_run
 from repro.engine.scheduler import (
-    _batch_tasks,
-    _BatchTask,
     _result_digest,
-    _Task,
+    _units,
     group_by_trace,
     resolve_batch,
 )
@@ -28,11 +26,19 @@ from repro.perf.characterize import characterize
 from repro.uarch.config import power5
 from repro.uarch.core import Core
 
+from tests.engine import faults
+
 APP = "fasta"
 
 
 def _points(fxus=(2, 3, 4)):
     return [(APP, "baseline", power5().with_fxus(f)) for f in fxus]
+
+
+def _two_groups():
+    """Two trace-sharing groups, so a jobs=2 sweep actually pools."""
+    return _points() + [("hmmer", "baseline", power5()),
+                        ("hmmer", "baseline", power5().with_fxus(3))]
 
 
 def _digests(results):
@@ -44,11 +50,6 @@ def batch_counters(counters):
         name: value for name, value in counters.items()
         if name.startswith("batch.")
     }
-
-
-def _passthrough_worker(task):
-    """Module-level (picklable) stand-in for a test-instrumented worker."""
-    return scheduler._characterize_worker(task)
 
 
 class TestResolveBatch:
@@ -69,28 +70,41 @@ class TestResolveBatch:
 
 
 class TestGrouping:
+    KEYS = [("a", "baseline", "d1"), ("a", "baseline", "d2"),
+            ("b", "baseline", "d3")]
+    #: Pending points as the scheduler holds them: key -> config.
+    PENDING = dict(zip(KEYS, (power5(), power5().with_fxus(3), power5())))
+
     def test_group_by_trace_keys_on_app_variant(self):
-        tasks = [
-            _Task(("a", "baseline", "d1"), ("a", "baseline", power5())),
-            _Task(("a", "baseline", "d2"),
-                  ("a", "baseline", power5().with_fxus(3))),
-            _Task(("b", "baseline", "d3"), ("b", "baseline", power5())),
-        ]
-        groups = group_by_trace(tasks)
+        groups = group_by_trace(self.PENDING)
         assert list(groups) == [("a", "baseline"), ("b", "baseline")]
         assert [len(g) for g in groups.values()] == [2, 1]
 
-    def test_singleton_groups_stay_plain_tasks(self):
-        tasks = [
-            _Task(("a", "baseline", "d1"), ("a", "baseline", power5())),
-            _Task(("a", "baseline", "d2"),
-                  ("a", "baseline", power5().with_fxus(3))),
-            _Task(("b", "baseline", "d3"), ("b", "baseline", power5())),
+    def test_units_fold_each_app_variant(self):
+        (pair, single) = _units(self.PENDING, batch=True)
+        assert (pair.app, pair.variant) == ("a", "baseline")
+        assert pair.keys == self.KEYS[:2]
+        assert pair.configs == [power5(), power5().with_fxus(3)]
+        assert single.keys == self.KEYS[2:]
+        # A failed unit of several points splits into one-point units,
+        # none of them billed.
+        pair.attempts = 1
+        parts = pair.split()
+        assert [part.keys for part in parts] == [
+            [key] for key in self.KEYS[:2]
         ]
-        batched = _batch_tasks(tasks)
-        assert isinstance(batched[0], _BatchTask)
-        assert len(batched[0].tasks) == 2
-        assert isinstance(batched[1], _Task)
+        assert [part.attempts for part in parts] == [0, 0]
+
+    def test_singleton_groups_stay_plain_tasks(self):
+        """A singleton group is a one-point unit: the same unit that
+        batching off makes of every point."""
+        batched = _units(self.PENDING, batch=True)
+        unbatched = _units(self.PENDING, batch=False)
+        assert [unit.keys for unit in unbatched] == [
+            [key] for key in self.KEYS
+        ]
+        assert batched[1].keys == unbatched[2].keys == [self.KEYS[2]]
+        assert batched[1].configs == unbatched[2].configs == [power5()]
 
 
 class TestBatchedEqualsSequential:
@@ -122,9 +136,7 @@ class TestBatchedEqualsSequential:
         )
         cache_module.use_cache_dir(tmp_path / "bat")
         engine = Engine(cache_dir=tmp_path / "bat")
-        # Two trace-sharing groups so the pool path actually pools.
-        points = _points() + [("hmmer", "baseline", power5()),
-                              ("hmmer", "baseline", power5().with_fxus(3))]
+        points = _two_groups()
         batched = engine.characterize_many(points, jobs=2, batch=True)
         assert _digests(batched[:3]) == _digests(sequential)
         # Worker telemetry merged back: one record per point, and both
@@ -136,20 +148,30 @@ class TestBatchedEqualsSequential:
     def test_env_kill_switch_disables_batching(
         self, monkeypatch, fresh_engine
     ):
+        """Off, every point is its own one-config group."""
         monkeypatch.setenv("REPRO_BATCH", "off")
         results = fresh_engine.characterize_many(_points(), jobs=1)
         assert all(result is not None for result in results)
-        assert "batch.groups" not in fresh_engine.stats.counters
-        assert "batch.points" not in fresh_engine.stats.counters
+        assert fresh_engine.stats.counters["batch.groups"] == 3
+        assert fresh_engine.stats.counters["batch.points"] == 3
 
-    def test_custom_worker_never_batches(self, fresh_engine):
-        """Instrumented workers must see every point individually."""
+    def test_custom_worker_gets_the_default_units(
+        self, fresh_engine, tmp_path, monkeypatch
+    ):
+        """An instrumented worker is dispatched the units the default
+        one is: one per (app, variant), as in the pool sweep above."""
+        count_dir = faults.install_counter(tmp_path / "counts", monkeypatch)
         results = scheduler.fan_out(
-            fresh_engine, _points(), jobs=2, worker=_passthrough_worker,
-            batch=True,
+            fresh_engine, _two_groups(), jobs=2,
+            worker=faults.counting_worker, batch=True,
         )
         assert all(result is not None for result in results)
-        assert "batch.groups" not in fresh_engine.stats.counters
+        assert faults.invocation_counts(count_dir) == {
+            "fasta_baseline": 1,
+            "hmmer_baseline": 1,
+        }
+        assert fresh_engine.stats.counters["batch.groups"] == 2
+        assert fresh_engine.stats.counters["batch.points"] == 5
 
 
 class TestScalarAnchor:
@@ -204,15 +226,18 @@ class TestCacheAndJournal:
     def test_memo_and_disk_peel_before_batching(self, fresh_engine):
         """Points already cached never re-enter a batch."""
         first = fresh_engine.characterize(APP, "baseline", power5())
+        # A one-config call is a one-point group.
+        assert fresh_engine.stats.counters["batch.groups"] == 1
+        assert fresh_engine.stats.counters["batch.points"] == 1
         results = fresh_engine.characterize_batch(
             APP, "baseline",
             [power5(), power5().with_fxus(3), power5().with_fxus(4)],
         )
         assert results[0] is first
         assert fresh_engine.stats.memo_hits == 1
-        # Only the two uncached points went through the shared pass.
-        assert fresh_engine.stats.counters["batch.groups"] == 1
-        assert fresh_engine.stats.counters["batch.points"] == 2
+        # Only the two uncached points went through the second pass.
+        assert fresh_engine.stats.counters["batch.groups"] == 2
+        assert fresh_engine.stats.counters["batch.points"] == 3
 
     def test_batched_results_land_in_persistent_cache(
         self, tmp_path, restore_globals
@@ -286,14 +311,15 @@ class TestCacheAndJournal:
         }
         assert fresh_engine.stats.counters["batch.points"] == 5
 
-    def test_unbatched_run_journals_no_batch_record(self, fresh_engine):
+    def test_unbatched_run_journals_one_group_per_point(self, fresh_engine):
+        """A --no-batch sweep of N points journals N one-point groups."""
         fresh_engine.characterize_many(
-            [(APP, "baseline", power5())], jobs=1, batch=False,
-            run_id="plainrun",
+            _points(), jobs=1, batch=False, run_id="plainrun",
         )
         state = load_run(fresh_engine.cache.root, "plainrun")
         assert state.complete
-        assert batch_counters(state.counters) == {}
+        counters = batch_counters(state.counters)
+        assert counters["batch.groups"] == counters["batch.points"] == 3
 
 
 class TestBatchFailureExplodes:

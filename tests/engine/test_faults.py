@@ -11,6 +11,7 @@ is unaffected by warm entries.
 import pytest
 
 from repro.engine import cache as cache_module
+from repro.engine.digest import SHORT_DIGEST, config_digest
 from repro.engine.engine import Engine
 from repro.engine.scheduler import (
     fan_out,
@@ -81,16 +82,16 @@ class TestRetries:
         assert engine.stats.counters["recovery.pool_rebuilds"] >= 1
 
     def test_serial_path_retries_and_keeps_going(self, engine, monkeypatch):
-        real = engine.characterize
+        real = engine.characterize_batch
         calls = {"fasta": 0}
 
-        def flaky(app, variant="baseline", config=None):
+        def flaky(app, variant, configs):
             if app == "fasta":
                 calls["fasta"] += 1
                 raise RuntimeError("flaky serial point")
-            return real(app, variant, config)
+            return real(app, variant, configs)
 
-        monkeypatch.setattr(engine, "characterize", flaky)
+        monkeypatch.setattr(engine, "characterize_batch", flaky)
         results = engine.characterize_many(
             POINTS, jobs=1, retries=1, backoff=0.0, on_error="keep_going"
         )
@@ -146,6 +147,75 @@ class TestTimeouts:
         assert engine.stats.failures == []
         assert engine.stats.counters["recovery.pool_rebuilds"] == 1
         assert engine.stats.counters["recovery.serial_fallbacks"] == 1
+
+
+class TestMultiPointUnits:
+    """Pool-mode failures of a unit of several points.
+
+    With batching the two fasta configs are one unit, dispatched beside
+    the hmmer unit. A failed attempt of the fasta unit splits it into
+    one-point units and bills neither point.
+    """
+
+    #: A unit of two configs of one (app, variant), and a second unit.
+    POINTS = [
+        ("fasta", "baseline", power5()),
+        ("fasta", "baseline", power5().with_fxus(3)),
+        ("hmmer", "baseline", power5()),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def warm(self, shared_cache_root, engine):
+        # Warm results keep every clean attempt far inside its deadline;
+        # the faults strike before the worker reads the cache.
+        Engine(cache_dir=shared_cache_root).characterize_many(
+            self.POINTS, jobs=1, journal=False
+        )
+
+    @pytest.mark.parametrize(
+        "mode", [faults.MODE_RAISE, faults.MODE_EXIT, faults.MODE_HANG]
+    )
+    def test_one_fault_splits_the_unit_unbilled(
+        self, engine, tmp_path, monkeypatch, mode
+    ):
+        faults.install_plan(
+            tmp_path / "plan", monkeypatch, {"fasta:baseline": (mode, 1)},
+        )
+        # A hung unit is reclaimed at its scaled deadline: 2 x 2 s.
+        results = fan_out(
+            engine, self.POINTS, jobs=2, batch=True, timeout=2.0,
+            retries=0, backoff=0.0, on_error="keep_going",
+            worker=faults.faulty_worker,
+        )
+        assert [r.app for r in results] == ["fasta", "fasta", "hmmer"]
+        assert engine.stats.failures == []
+        rebuilds = engine.stats.counters.get("recovery.pool_rebuilds", 0)
+        assert (rebuilds >= 1) == (mode != faults.MODE_RAISE)
+
+    def test_unit_that_always_raises_fails_each_point(
+        self, engine, tmp_path, monkeypatch
+    ):
+        faults.install_plan(
+            tmp_path / "plan", monkeypatch,
+            {"fasta:baseline": (faults.MODE_RAISE, faults.ALWAYS)},
+        )
+        results = fan_out(
+            engine, self.POINTS, jobs=2, batch=True, retries=0,
+            backoff=0.0, on_error="keep_going",
+            worker=faults.faulty_worker,
+        )
+        assert results[0] is None and results[1] is None
+        assert results[2].app == "hmmer"
+        failures = engine.stats.failures
+        assert sorted(f.config_digest for f in failures) == sorted(
+            config_digest(config)[:SHORT_DIGEST]
+            for _, _, config in self.POINTS[:2]
+        )
+        # Each point is billed only its own attempt; the unit's failed
+        # attempt is billed to neither.
+        assert [(f.kind, f.attempts) for f in failures] == [
+            (FAILURE_EXCEPTION, 1), (FAILURE_EXCEPTION, 1)
+        ]
 
 
 class TestErrorPolicy:
@@ -257,11 +327,11 @@ class TestSerialTimeoutNote:
         from repro.engine.scheduler import SERIAL_TIMEOUT_NOTE
 
         # The serial path runs in-process (no worker), so inject the
-        # failure through characterize itself.
-        def boom(app, variant, config):
+        # failure through characterize_batch itself.
+        def boom(app, variant, configs):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(engine, "characterize", boom)
+        monkeypatch.setattr(engine, "characterize_batch", boom)
         with pytest.raises(SweepError) as excinfo:
             fan_out(
                 engine, POINTS[:1], jobs=1, timeout=30.0, retries=0,

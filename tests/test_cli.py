@@ -143,6 +143,11 @@ class TestTrace:
     def test_missing_trace_file(self, capsys):
         assert main(["trace", "--load", "/nonexistent.trace"]) == 1
 
+    @pytest.mark.parametrize("stats", [[], ["--stats"]])
+    def test_neither_app_nor_load_is_a_usage_error(self, capsys, stats):
+        assert main(["trace", *stats]) == 1
+        assert "give an app or --load FILE" in capsys.readouterr().err
+
     def test_v1_text_trace_is_rejected(self, tmp_path, capsys):
         legacy = tmp_path / "legacy.trace"
         legacy.write_text("repro-trace v1 1\n0 li 0 1 - 3 -\n")
