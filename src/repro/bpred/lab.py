@@ -8,12 +8,13 @@ Glue between the abstract machinery (:mod:`repro.bpred.replay`,
   persistent trace store through
   :func:`repro.perf.characterize.kernel_trace`;
 * :func:`cached_replay` / :func:`cached_characterisation` persist their
-  results through :class:`repro.engine.cache.PersistentCache` result
+  results through :func:`repro.engine.engine.cached_artifact` result
   slots, addressed by a canonical digest of the
   :class:`~repro.uarch.config.PredictorSpec` — the same
   content-addressing discipline ``repro.engine`` applies to core
-  configs, with the same corruption handling (malformed entries are
-  evicted and recomputed, never raised);
+  configs, with the same corruption handling (malformed entries, and
+  entries recording another spec, are evicted and recomputed, never
+  raised);
 * :func:`kernel_program` reconstructs the compiled kernel
   :class:`~repro.isa.program.Program` an app's trace came from, so
   ranked H2P branches resolve to labels and source lines.
@@ -126,20 +127,14 @@ def cached_replay(
     """
     if isinstance(spec, str):
         spec = PredictorSpec(kind=spec)
-    from repro.engine.cache import active_cache
+    from repro.engine.engine import cached_artifact
 
-    cache = active_cache()
-    digest = spec_digest(spec)
-    slot = f"{variant}{_REPLAY_SLOT}"
-    payload = cache.load_result_payload(app, slot, digest)
-    if payload is not None:
-        try:
-            return _replay_from_payload(payload, spec)
-        except (KeyError, TypeError, ValueError):
-            cache.evict_result(app, slot, digest)
-    result = replay(stream_for(app, variant), spec)
-    cache.store_result_payload(app, slot, digest, result.to_payload())
-    return result
+    return cached_artifact(
+        app, f"{variant}{_REPLAY_SLOT}", spec_digest(spec),
+        lambda: replay(stream_for(app, variant), spec),
+        ReplayResult.to_payload,
+        lambda payload: _replay_from_payload(payload, spec),
+    )
 
 
 def compare(
@@ -194,20 +189,14 @@ def cached_characterisation(
     """Per-branch profile of one kernel stream, persistently cached."""
     if isinstance(spec, str):
         spec = PredictorSpec(kind=spec)
-    from repro.engine.cache import active_cache
+    from repro.engine.engine import cached_artifact
 
-    cache = active_cache()
-    digest = spec_digest(spec)
-    slot = f"{variant}{_PROFILE_SLOT}"
-    payload = cache.load_result_payload(app, slot, digest)
-    if payload is not None:
-        try:
-            return _characterisation_from_payload(payload, spec)
-        except (KeyError, TypeError, ValueError):
-            cache.evict_result(app, slot, digest)
-    result = characterize_stream(stream_for(app, variant), spec)
-    cache.store_result_payload(app, slot, digest, result.to_payload())
-    return result
+    return cached_artifact(
+        app, f"{variant}{_PROFILE_SLOT}", spec_digest(spec),
+        lambda: characterize_stream(stream_for(app, variant), spec),
+        StreamCharacterisation.to_payload,
+        lambda payload: _characterisation_from_payload(payload, spec),
+    )
 
 
 def kernel_program(app: str, variant: str = "baseline") -> Program:

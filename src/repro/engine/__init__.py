@@ -4,10 +4,11 @@ Layers, bottom to top:
 
 ``digest``
     Canonical content digests — a :class:`~repro.uarch.config.CoreConfig`
-    digest and a digest over every source file that can change a trace
-    or a simulation result (kernels, compiler, ISA, bio inputs, core
-    model). Cache keys are built from these, so editing any simulation
-    source invalidates exactly the entries it could have changed.
+    digest and a digest over every source file that can change a trace,
+    a simulation result or a cached artifact (kernels, compiler, ISA,
+    bio inputs, core model, application drivers, profiler). Cache keys
+    are built from these, so editing any simulation source invalidates
+    exactly the entries it could have changed.
 ``serialize``
     Lossless JSON round-tripping of :class:`SimResult` and
     :class:`AppCharacterisation` (integers end to end, so reloaded
@@ -38,6 +39,9 @@ Layers, bottom to top:
     :class:`Engine` ties the layers together through one per-point
     path, :meth:`Engine.characterize_batch`; ``default_engine()`` is
     the process-wide instance the experiment drivers share.
+    ``cached_artifact`` stores the other numbers experiments render
+    from (profiles, branch-lab replays, one-trace simulations) in
+    result slots of the same cache.
 """
 
 from repro.engine.cache import PersistentCache, active_cache, use_cache_dir

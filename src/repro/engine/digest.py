@@ -3,11 +3,13 @@
 Two ingredients address every cache entry:
 
 * :func:`sim_source_digest` — a SHA-256 over every Python source file
-  that can change a trace or a simulation result: the kernels, the
-  compiler, the ISA, the bio layer that generates kernel inputs, the
-  micro-architectural model, and the characterisation driver itself.
-  Editing any of them yields a new digest, so stale entries are never
-  served; untouched sources keep the cache warm across checkouts.
+  that can change a trace, a simulation result or a cached artifact:
+  the kernels, the compiler, the ISA, the bio layer that generates
+  kernel inputs, the micro-architectural model, the branch and
+  accelerator labs, the application drivers and the profiler behind
+  Figure 1, and the characterisation driver itself. Editing any of them
+  yields a new digest, so stale entries are never served; untouched
+  sources keep the cache warm across checkouts.
 * :func:`config_digest` — a SHA-256 over the canonical JSON form of a
   :class:`~repro.uarch.config.CoreConfig` (nested predictor/BTAC/cache
   blocks included), replacing the dataclass identity/hash semantics
@@ -34,7 +36,8 @@ from repro.uarch.config import CoreConfig
 CACHE_SCHEMA_VERSION = 4
 
 #: Packages/modules (relative to the ``repro`` package) whose source
-#: participates in trace/result generation.
+#: participates in trace/result/artifact generation. Every cached
+#: artifact's producer must live in one of them.
 _SIM_SOURCE_ROOTS = (
     "isa",
     "kernels",
@@ -43,7 +46,9 @@ _SIM_SOURCE_ROOTS = (
     "uarch",
     "bpred",
     "accel",
+    "perf/apps.py",
     "perf/characterize.py",
+    "perf/profiler.py",
 )
 
 #: Hex digits kept when embedding digests in file names.
@@ -112,6 +117,18 @@ def result_payload_digest(payload: dict) -> str:
     """
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def artifact_key(**params) -> str:
+    """Digest of a cached artifact's parameters (canonical JSON).
+
+    Together with the source digest in its path, this addresses an
+    artifact: the derived numbers an experiment renders from, which
+    :func:`repro.engine.engine.cached_artifact` stores. Parameters are
+    JSON values; pass a config as its :func:`config_digest`.
+    """
+    payload = json.dumps(params, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def sweep_digest(keys: list[tuple[str, str, str]]) -> str:

@@ -20,6 +20,10 @@ a one-config call to it). Per point it consults, in order:
 
 ``default_engine()`` is the process-wide instance the experiment
 drivers and the CLI share; it uses the process-wide persistent cache.
+:func:`cached_artifact` serves the derived numbers the engine does not
+compute point by point (Figure 1's profiles, the branch lab's replays,
+the one-trace simulations of fig2, ext_phylip, ext_cmp_llc and the
+interleaving ablation) through result slots of that same cache.
 Constructing an :class:`Engine` with an explicit ``cache_dir`` gives
 that engine its **own** private :class:`PersistentCache` — it never
 re-points the process-wide one, so two engines' counters can never
@@ -45,6 +49,7 @@ from repro.engine import serialize
 from repro.engine.cache import PersistentCache, active_cache
 from repro.engine.digest import (
     SHORT_DIGEST,
+    artifact_key,
     config_digest,
     point_key,
     result_payload_digest,
@@ -58,7 +63,7 @@ from repro.engine.telemetry import (
     EngineStats,
     PointRecord,
 )
-from repro.errors import SimulationError, WorkloadError
+from repro.errors import ReproError, SimulationError, WorkloadError
 from repro.perf.characterize import AppCharacterisation, characterize_batched
 from repro.perf.stream import drain_stream_stats
 from repro.uarch.config import CoreConfig, power5
@@ -464,3 +469,56 @@ def default_engine() -> Engine:
     if _default_engine is None:
         _default_engine = Engine()
     return _default_engine
+
+
+#: What a payload decoder raises on an entry it cannot trust.
+_UNTRUSTED = (AttributeError, KeyError, TypeError, ValueError, ReproError)
+
+
+def cached_artifact(app: str, slot: str, key: str, compute, encode, decode):
+    """A derived artifact, through one result slot of the process-wide
+    cache: load, validate, evict and recompute, store.
+
+    The entry at ``(app, slot, key)`` is rebuilt by ``decode(payload)``,
+    which raises on a payload it cannot trust (garbled, or recording
+    another address); such an entry is quarantined. On a miss,
+    ``compute()`` makes the value and ``encode(value)`` is stored. The
+    source digest in every entry's path re-addresses the artifact when
+    a covered source changes, so a producer must live in the digest's
+    roots. Each call counts ``artifact.disk`` or ``artifact.computed``
+    in the default engine's counters.
+    """
+    cache = active_cache()
+    stats = default_engine().stats
+    payload = cache.load_result_payload(app, slot, key)
+    if payload is not None:
+        try:
+            value = decode(payload)
+        except _UNTRUSTED:
+            cache.evict_result(app, slot, key)
+        else:
+            stats.count("artifact.disk")
+            return value
+    value = compute()
+    cache.store_result_payload(app, slot, key, encode(value))
+    stats.count("artifact.computed")
+    return value
+
+
+def cached_numbers(app: str, slot: str, compute, encode, decode, **params):
+    """:func:`cached_artifact` keyed by ``params`` (JSON values).
+
+    The payload records its full key beside ``encode(value)``, so an
+    entry copied or moved to another address fails validation.
+    """
+    key = artifact_key(**params)
+
+    def checked(payload):
+        if payload["key"] != key:
+            raise ValueError("artifact entry records another key")
+        return decode(payload["value"])
+
+    return cached_artifact(
+        app, slot, key, compute,
+        lambda value: {"key": key, "value": encode(value)}, checked,
+    )

@@ -142,8 +142,7 @@ def interleaving() -> Table:
     predictor/BTAC/cache see cross-phase interference. The delta bounds
     how much that modelling choice matters.
     """
-    from repro.perf.characterize import composite_trace
-    from repro.uarch.core import simulate_trace
+    from repro.perf.characterize import interleaved_result
 
     base = power5()
     table = Table(
@@ -152,7 +151,7 @@ def interleaving() -> Table:
     )
     for app in ("blast", "clustalw", "fasta", "hmmer"):
         separate = cached_characterize(app, "baseline", base)
-        mixed = simulate_trace(composite_trace(app, "baseline"), base)
+        mixed = interleaved_result(app, "baseline", base)
         delta = mixed.ipc / separate.ipc - 1
         table.add_row(
             app,

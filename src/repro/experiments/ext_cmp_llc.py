@@ -18,114 +18,25 @@ experiment with our own machinery:
   the bandwidth proxy.
 
 Expected shape: the private-to-shared miss ratio is well above 1.
+
+The workers and the study live in :mod:`repro.perf.apps`
+(:func:`~repro.perf.apps.llc_sharing_study`, a cached artifact).
 """
 
 from __future__ import annotations
 
-from repro.bio.scoring import BLOSUM62, GapPenalties
-from repro.bio.sequence import Sequence
-from repro.bio.workloads import make_family, mutate
-from repro.errors import WorkloadError
 from repro.experiments.common import ExperimentResult
-from repro.isa.interpreter import run_program
-from repro.isa.memory import Memory
-from repro.isa.trace import Trace
-from repro.kernels import smith_waterman
-from repro.kernels.runtime import KERNEL_NEG_INF
+from repro.perf.apps import llc_sharing_study
 from repro.perf.report import Table, percent
-from repro.uarch.llc import LlcConfig, sharing_study
-
-GAPS = GapPenalties(10, 2)
-
-
-def worker_trace(
-    worker_index: int,
-    query: Sequence,
-    subjects: list[Sequence],
-    pad_words: int = 4_096,
-) -> Trace:
-    """One worker's dropgsw trace over the shared database.
-
-    The substitution matrix and every subject are allocated first, so
-    their addresses are identical for every worker; a worker-specific
-    pad displaces the private query and DP rows.
-    """
-    if not subjects:
-        raise WorkloadError("need database subjects")
-    config = smith_waterman.SwConfig(
-        alphabet_size=len(BLOSUM62.alphabet),
-        open_cost=GAPS.open_ + GAPS.extend,
-        extend_cost=GAPS.extend,
-    )
-    kernel = smith_waterman.HARNESS.compiled("baseline", config)
-    max_n = max(len(s) for s in subjects)
-
-    memory = Memory(1 << 18)
-    sub_base = memory.alloc(
-        "sub", [int(x) for x in BLOSUM62.scores.reshape(-1)]
-    )
-    subject_bases = [
-        memory.alloc(f"subject{i}", list(s.codes))
-        for i, s in enumerate(subjects)
-    ]
-    memory.alloc("pad", pad_words * worker_index + 1)
-    a_base = memory.alloc("a", list(query.codes))
-    v_base = memory.alloc("v", max_n + 1)
-    f_base = memory.alloc("f", max_n + 1)
-    out_base = memory.alloc("out", 1)
-
-    trace = Trace()
-    for subject, b_base in zip(subjects, subject_bases):
-        n = len(subject)
-        for j in range(n + 1):
-            memory.store(v_base + j, 0)
-            memory.store(f_base + j, KERNEL_NEG_INF)
-        initial = {
-            kernel.gpr("m"): len(query),
-            kernel.gpr("n"): n,
-            kernel.gpr("a"): a_base,
-            kernel.gpr("b"): b_base,
-            kernel.gpr("sub"): sub_base,
-            kernel.gpr("v"): v_base,
-            kernel.gpr("f"): f_base,
-            kernel.gpr("out"): out_base,
-        }
-        run_program(kernel.program, memory, initial, trace=trace)
-    return trace
-
-
-def parallel_ssearch_traces(
-    workers: int = 4,
-    subjects_count: int = 6,
-    subject_length: int = 72,
-    query_length: int = 48,
-    seed: int = 83,
-) -> list[Trace]:
-    """Traces for ``workers`` ssearch workers over one shared database."""
-    family = make_family(
-        "db", subjects_count, subject_length, 0.3, seed=seed
-    )
-    queries = [
-        Sequence(
-            f"q{worker}",
-            mutate(family[worker % len(family)], f"q{worker}", 0.4,
-                   rng=None).residues[:query_length],
-        )
-        for worker in range(workers)
-    ]
-    return [
-        worker_trace(worker, queries[worker], family)
-        for worker in range(workers)
-    ]
+from repro.uarch.llc import LlcConfig
 
 
 def run(workers: int = 4) -> ExperimentResult:
     """Compare shared and private LLC organisations on parallel ssearch."""
-    traces = parallel_ssearch_traces(workers=workers)
     # A small LLC relative to the database keeps the study in the
     # capacity-constrained regime the original paper targets.
     config = LlcConfig(total_size_bytes=16 * 1024, line_bytes=128, ways=8)
-    study = sharing_study(traces, config)
+    study = llc_sharing_study(workers, config)
 
     table = Table(
         f"Extension - shared vs private LLC ({workers} parallel "

@@ -12,23 +12,18 @@ removes essentially all kernel mispredictions; the compiler converts
 the hammock on its own. This sharpens the paper's observation that
 "isel is a more general solution that may be applied in more
 situations than max".
+
+The workload and its simulation live in :mod:`repro.perf.apps`
+(:func:`~repro.perf.apps.parsimony_results`, a cached artifact stored
+only after every variant's score matches ``fitch_score``).
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.bio.guidetree import upgma
-from repro.bio.msa import clustalw, pairwise_distance_matrix
-from repro.bio.phylo import fitch_score
-from repro.bio.workloads import make_family
-from repro.errors import SimulationError
 from repro.experiments.common import ExperimentResult
-from repro.isa.trace import Trace
-from repro.kernels import parsimony
+from repro.perf.apps import parsimony_results
 from repro.perf.report import Table, percent, signed_percent
 from repro.uarch.config import power5
-from repro.uarch.core import simulate_trace
 
 VARIANTS = (
     "baseline", "hand_max", "hand_isel", "comp_max", "comp_isel",
@@ -36,40 +31,18 @@ VARIANTS = (
 )
 
 
-def _workload():
-    """A parsimony workload: aligned family + its guide tree."""
-    family = make_family("phylip", 10, 60, 0.3, seed=71)
-    msa = clustalw(family)
-    tree = upgma(
-        np.asarray(pairwise_distance_matrix(family, method="ktuple"))
-    )
-    return tree, list(msa.rows), family[0].alphabet.symbols
-
-
 def run() -> ExperimentResult:
     """Simulate every variant of the parsimony kernel."""
-    tree, rows, symbols = _workload()
-    reference = fitch_score(tree, rows, symbols)
-    config = power5()
-
+    results = parsimony_results(list(VARIANTS), power5())
     table = Table(
         "Extension - predication on Phylip's Fitch-parsimony kernel",
         ["Variant", "Instructions", "Cycles", "Mispredict rate",
          "Improvement"],
     )
     data: dict[str, float] = {}
-    baseline_cycles = None
+    baseline_cycles = results["baseline"].cycles
     for variant in VARIANTS:
-        trace = Trace()
-        score = parsimony.run(variant, tree, rows, symbols, trace=trace)
-        if score != reference:
-            raise SimulationError(
-                f"parsimony {variant} scored {score}, but fitch_score "
-                f"gives {reference}: kernel semantics diverged"
-            )
-        result = simulate_trace(trace, config)
-        if baseline_cycles is None:
-            baseline_cycles = result.cycles
+        result = results[variant]
         improvement = baseline_cycles / result.cycles - 1
         data[variant] = improvement
         table.add_row(

@@ -1,20 +1,21 @@
 """Figure 1: function-wise runtime breakout (gprof-style).
 
-Each application's execute phase runs under the profiler; the table
-reports the top functions by self-time share. The paper's finding —
-one dynamic-programming function dominating each application — should
-be visible as the kernel reference function leading each breakout.
+Each application's execute phase runs under the line-counting profiler
+(:func:`repro.perf.apps.profile_app`, a cached artifact); the table
+reports the top functions by their share of executed lines. The
+paper's finding — one dynamic-programming function dominating each
+application — should be visible as the kernel reference function
+leading each breakout.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import APPS, ExperimentResult
 from repro.perf.apps import (
-    APP_PHASES,
     KERNEL_PAPER_NAMES,
     KERNEL_REFERENCE_FUNCTIONS,
+    profile_app,
 )
-from repro.perf.profiler import Profiler
 from repro.perf.report import Table, percent
 
 
@@ -30,19 +31,17 @@ def run(
     """Profile every application and report its top functions."""
     input_classes = input_classes or DEFAULT_CLASSES
     table = Table(
-        "Figure 1 - Function-wise breakout (share of self time)",
+        "Figure 1 - Function-wise breakout (share of executed lines)",
         ["App", "Rank", "Function", "Share", "Paper kernel name"],
     )
     data: dict[str, dict] = {}
     for app in APPS:
-        prepare, execute = APP_PHASES[app]
-        prepared = prepare(input_classes.get(app, "A"))
-        _, report = Profiler().run(execute, prepared)
+        report = profile_app(app, input_classes.get(app, "A"))
         kernel_function = KERNEL_REFERENCE_FUNCTIONS[app]
         data[app] = {
             "kernel_share": report.share(kernel_function),
             "top": [
-                (f.name, f.share_of(report.total_seconds))
+                (f.name, f.share_of(report.total_lines))
                 for f in report.top(top)
             ],
         }
@@ -56,7 +55,7 @@ def run(
                 app if rank == 1 else "",
                 rank,
                 function.name,
-                percent(function.share_of(report.total_seconds)),
+                percent(function.share_of(report.total_lines)),
                 paper_name,
             )
     return ExperimentResult(

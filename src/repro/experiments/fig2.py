@@ -3,45 +3,23 @@
 Clustalw runs in phases — the pairwise ``forward_pass`` stage, guide
 tree construction, then progressive alignment. We emulate that phase
 structure by interleaving the Clustalw kernel trace with background
-segments and simulating with interval statistics enabled: the IPC
-series visibly tracks the branch-misprediction series, the paper's
+segments and simulating with interval statistics enabled
+(:func:`repro.perf.characterize.phased_result`, a cached artifact): the
+IPC series visibly tracks the branch-misprediction series, the paper's
 headline observation from this figure.
 """
 
 from __future__ import annotations
 
 from repro.experiments.common import ExperimentResult
-from repro.isa.trace import Trace
-from repro.perf.characterize import background_trace, kernel_trace
+from repro.perf.characterize import phased_result
 from repro.perf.report import Table, percent
 from repro.uarch.config import power5
-from repro.uarch.core import simulate_trace
-
-
-def phased_trace() -> Trace:
-    """Clustalw's phase structure as one interleaved trace.
-
-    Background (input parsing) -> pairwise kernel -> background (guide
-    tree) -> pairwise kernel (progressive stage re-enters the DP code)
-    -> background (output).
-    """
-    kernel = kernel_trace("clustalw", "baseline")
-    background = background_trace("clustalw")
-    third = len(background) // 3
-    half = len(kernel) // 2
-    return (
-        background[:third]
-        + kernel[:half]
-        + background[third : 2 * third]
-        + kernel[half:]
-        + background[2 * third :]
-    )
 
 
 def run(interval_size: int = 8_000) -> ExperimentResult:
     """Simulate the phased Clustalw trace and report the time series."""
-    trace = phased_trace()
-    result = simulate_trace(trace, power5(), interval_size)
+    result = phased_result(interval_size, power5())
     table = Table(
         "Figure 2 - Clustalw IPC and branch misprediction rate vs time",
         ["Interval", "Instructions", "IPC", "Branch mispredict rate"],

@@ -1,7 +1,9 @@
 """Profiling and whole-application characterisation.
 
-* :mod:`repro.perf.profiler` — gprof-like function profiling (Fig. 1);
-* :mod:`repro.perf.apps` — end-to-end application drivers;
+* :mod:`repro.perf.profiler` — gprof-like, line-counting function
+  profiling (Fig. 1);
+* :mod:`repro.perf.apps` — end-to-end application drivers and the
+  extension experiments' workloads;
 * :mod:`repro.perf.characterize` — composite kernel+background workload
   models and the ``characterize()`` entry point every simulation
   experiment uses;

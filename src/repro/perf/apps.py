@@ -1,31 +1,63 @@
-"""End-to-end application drivers over the synthetic BioPerf inputs.
+"""End-to-end application drivers over the synthetic BioPerf inputs,
+and the workloads of the extension experiments.
 
 Each paper workload is split into ``prepare_*`` (input generation and
 any setup the real tool does offline — e.g. Hmmer's models are prebuilt
 Pfam files) and ``execute_*`` (the measured run). The Figure 1
 experiment profiles only the execute phase, as gprof on the BioPerf
-binaries effectively does; the tests assert the paper's headline
-profile shape — a single dynamic-programming function dominating each
-application.
+binaries effectively does (:func:`profile_app`); the tests assert the
+paper's headline profile shape — a single dynamic-programming function
+dominating each application.
+
+The extension workloads live here too: Phylip's parsimony problem
+(:func:`phylip_workload`, simulated per code variant by
+:func:`parsimony_results`) and parallel ssearch workers sharing one
+database (:func:`parallel_ssearch_traces`, whose LLC study is
+:func:`llc_sharing_study`).
+
+:func:`profile_app`, :func:`parsimony_results` and
+:func:`llc_sharing_study` are cached artifacts
+(:func:`repro.engine.engine.cached_numbers`): this module is part of
+the simulation source digest, so editing it re-addresses them.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Any, Callable
+
+import numpy as np
 
 from repro.bio.alphabet import PROTEIN
 from repro.bio.blast import BlastDatabase, blastp
 from repro.bio.fastatool import ssearch
+from repro.bio.guidetree import upgma
 from repro.bio.hmm import build_hmm
 from repro.bio.hmmer import hmmpfam
-from repro.bio.msa import clustalw
+from repro.bio.msa import clustalw, pairwise_distance_matrix
+from repro.bio.phylo import fitch_score
+from repro.bio.scoring import BLOSUM62
+from repro.bio.sequence import Sequence
 from repro.bio.workloads import (
     blast_input,
     clustalw_input,
     fasta_input,
     hmmer_input,
+    make_family,
+    mutate,
 )
+from repro.errors import SimulationError, WorkloadError
+from repro.isa.interpreter import run_program
+from repro.isa.memory import Memory
+from repro.isa.trace import Trace
+from repro.kernels import parsimony, smith_waterman
+from repro.kernels.runtime import KERNEL_NEG_INF
+from repro.perf.characterize import GAPS
+from repro.perf.profiler import ProfileReport, Profiler
+from repro.uarch.config import CoreConfig
+from repro.uarch.core import SimResult, simulate_trace
+from repro.uarch.llc import LlcConfig, SharingStudy, sharing_study
 
 #: The applications, in the paper's order.
 APPS = ("blast", "clustalw", "fasta", "hmmer")
@@ -118,3 +150,172 @@ def run_app(app: str, input_class: str = "A") -> AppRunResult:
     """Prepare and execute one application end to end."""
     prepare, execute = APP_PHASES[app]
     return execute(prepare(input_class))
+
+
+def profile_app(app: str, input_class: str = "A") -> ProfileReport:
+    """Figure 1's line profile of one application's execute phase.
+
+    A cached artifact. Line counts follow the Python minor version's
+    line tables, so the version is part of its key.
+    """
+    from repro.engine.engine import cached_numbers
+
+    prepare, execute = APP_PHASES[app]
+
+    def compute() -> ProfileReport:
+        _, report = Profiler().run(execute, prepare(input_class))
+        return report
+
+    return cached_numbers(
+        app, "~profile", compute,
+        ProfileReport.to_payload, ProfileReport.from_payload,
+        input_class=input_class, python=list(sys.version_info[:2]),
+    )
+
+
+def phylip_workload():
+    """A parsimony workload: aligned family, its guide tree, alphabet."""
+    family = make_family("phylip", 10, 60, 0.3, seed=71)
+    msa = clustalw(family)
+    tree = upgma(
+        np.asarray(pairwise_distance_matrix(family, method="ktuple"))
+    )
+    return tree, list(msa.rows), family[0].alphabet.symbols
+
+
+def parsimony_results(
+    variants: list[str], config: CoreConfig
+) -> dict[str, SimResult]:
+    """Each parsimony kernel variant's trace simulated under ``config``.
+
+    A variant's score must equal :func:`repro.bio.phylo.fitch_score`
+    before its trace is simulated; a diverged kernel raises
+    :class:`~repro.errors.SimulationError` naming the variant, and
+    nothing is stored. A cached artifact.
+    """
+    from repro.engine.digest import config_digest
+    from repro.engine.engine import cached_numbers
+    from repro.engine.serialize import result_from_dict, result_to_dict
+
+    def compute() -> dict[str, SimResult]:
+        tree, rows, symbols = phylip_workload()
+        reference = fitch_score(tree, rows, symbols)
+        results = {}
+        for variant in variants:
+            trace = Trace()
+            score = parsimony.run(variant, tree, rows, symbols, trace=trace)
+            if score != reference:
+                raise SimulationError(
+                    f"parsimony {variant} scored {score}, but fitch_score "
+                    f"gives {reference}: kernel semantics diverged"
+                )
+            results[variant] = simulate_trace(trace, config)
+        return results
+
+    return cached_numbers(
+        "phylip", "~parsimony", compute,
+        lambda results: {
+            variant: result_to_dict(result)
+            for variant, result in results.items()
+        },
+        lambda payload: {
+            variant: result_from_dict(payload[variant])
+            for variant in variants
+        },
+        variants=list(variants), config=config_digest(config),
+    )
+
+
+def worker_trace(
+    worker_index: int,
+    query: Sequence,
+    subjects: list[Sequence],
+    pad_words: int = 4_096,
+) -> Trace:
+    """One ssearch worker's dropgsw trace over the shared database.
+
+    The substitution matrix and every subject are allocated first, so
+    their addresses are identical for every worker; a worker-specific
+    pad displaces the private query and DP rows.
+    """
+    if not subjects:
+        raise WorkloadError("need database subjects")
+    config = smith_waterman.SwConfig(
+        alphabet_size=len(BLOSUM62.alphabet),
+        open_cost=GAPS.open_ + GAPS.extend,
+        extend_cost=GAPS.extend,
+    )
+    kernel = smith_waterman.HARNESS.compiled("baseline", config)
+    max_n = max(len(s) for s in subjects)
+
+    memory = Memory(1 << 18)
+    sub_base = memory.alloc(
+        "sub", [int(x) for x in BLOSUM62.scores.reshape(-1)]
+    )
+    subject_bases = [
+        memory.alloc(f"subject{i}", list(s.codes))
+        for i, s in enumerate(subjects)
+    ]
+    memory.alloc("pad", pad_words * worker_index + 1)
+    a_base = memory.alloc("a", list(query.codes))
+    v_base = memory.alloc("v", max_n + 1)
+    f_base = memory.alloc("f", max_n + 1)
+    out_base = memory.alloc("out", 1)
+
+    trace = Trace()
+    for subject, b_base in zip(subjects, subject_bases):
+        n = len(subject)
+        for j in range(n + 1):
+            memory.store(v_base + j, 0)
+            memory.store(f_base + j, KERNEL_NEG_INF)
+        initial = {
+            kernel.gpr("m"): len(query),
+            kernel.gpr("n"): n,
+            kernel.gpr("a"): a_base,
+            kernel.gpr("b"): b_base,
+            kernel.gpr("sub"): sub_base,
+            kernel.gpr("v"): v_base,
+            kernel.gpr("f"): f_base,
+            kernel.gpr("out"): out_base,
+        }
+        run_program(kernel.program, memory, initial, trace=trace)
+    return trace
+
+
+def parallel_ssearch_traces(
+    workers: int = 4,
+    subjects_count: int = 6,
+    subject_length: int = 72,
+    query_length: int = 48,
+    seed: int = 83,
+) -> list[Trace]:
+    """Traces for ``workers`` ssearch workers over one shared database."""
+    family = make_family(
+        "db", subjects_count, subject_length, 0.3, seed=seed
+    )
+    queries = [
+        Sequence(
+            f"q{worker}",
+            mutate(family[worker % len(family)], f"q{worker}", 0.4,
+                   rng=None).residues[:query_length],
+        )
+        for worker in range(workers)
+    ]
+    return [
+        worker_trace(worker, queries[worker], family)
+        for worker in range(workers)
+    ]
+
+
+def llc_sharing_study(workers: int, config: LlcConfig) -> SharingStudy:
+    """Shared vs private LLC misses of ``workers`` parallel ssearch
+    workers. A cached artifact."""
+    from repro.engine.digest import config_digest
+    from repro.engine.engine import cached_numbers
+
+    return cached_numbers(
+        "fasta", "~llc",
+        lambda: sharing_study(parallel_ssearch_traces(workers), config),
+        SharingStudy.to_payload, SharingStudy.from_payload,
+        workers=workers, config=config_digest(config),
+    )

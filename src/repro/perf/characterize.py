@@ -20,6 +20,12 @@ the same result under one config for every variant:
 :class:`~repro.engine.engine.Engine` owns, and simulates the background
 only for the configs that memo lacks.
 
+Two experiments simulate whole-program orderings of the same two
+traces instead: :func:`phased_result` (Figure 2's phase structure) and
+:func:`interleaved_result` (the interleaving ablation). They are cached
+artifacts (:func:`repro.engine.engine.cached_numbers`), keyed by their
+parameters under the simulation source digest this module is part of.
+
 ``characterize(app, variant, config)`` returns a merged
 :class:`~repro.uarch.core.SimResult`; ``work_cycles`` is the metric to
 compare across variants (same work, fewer cycles = faster), and
@@ -39,7 +45,7 @@ from repro.errors import WorkloadError
 from repro.isa.trace import Trace
 from repro.kernels import forward_pass, gapped_extend, smith_waterman, viterbi
 from repro.uarch.config import CoreConfig, power5
-from repro.uarch.core import Core, SimResult
+from repro.uarch.core import Core, SimResult, simulate_trace
 from repro.uarch.sampling import merge_results
 from repro.uarch.synthetic import (
     MixProfile, generate_trace, generate_trace_segments,
@@ -401,6 +407,62 @@ def composite_trace(
         merged.extend(background[background_pos : background_pos + bg_chunk])
         background_pos += bg_chunk
     return merged
+
+
+def phased_trace() -> Trace:
+    """Clustalw's phase structure as one interleaved trace (Figure 2).
+
+    Background (input parsing) -> pairwise kernel -> background (guide
+    tree) -> pairwise kernel (progressive stage re-enters the DP code)
+    -> background (output).
+    """
+    kernel = kernel_trace("clustalw", "baseline")
+    background = background_trace("clustalw")
+    third = len(background) // 3
+    half = len(kernel) // 2
+    return (
+        background[:third]
+        + kernel[:half]
+        + background[third : 2 * third]
+        + kernel[half:]
+        + background[2 * third :]
+    )
+
+
+def _cached_result(app: str, slot: str, compute, config: CoreConfig,
+                   **params) -> SimResult:
+    """``compute()``'s result under ``config``, as a cached artifact."""
+    from repro.engine.digest import config_digest
+    from repro.engine.engine import cached_numbers
+    from repro.engine.serialize import result_from_dict, result_to_dict
+
+    return cached_numbers(
+        app, slot, compute, result_to_dict, result_from_dict,
+        config=config_digest(config), **params,
+    )
+
+
+def phased_result(interval_size: int, config: CoreConfig) -> SimResult:
+    """Figure 2's run: :func:`phased_trace` under ``config``, with an
+    interval record every ``interval_size`` instructions. A cached
+    artifact."""
+    return _cached_result(
+        "clustalw", "~phased",
+        lambda: simulate_trace(phased_trace(), config, interval_size),
+        config, interval_size=interval_size,
+    )
+
+
+def interleaved_result(app: str, variant: str,
+                       config: CoreConfig) -> SimResult:
+    """:func:`composite_trace` simulated as one stream under ``config``,
+    so kernel and background interfere in the predictor, BTAC and L1D
+    (the interleaving ablation). A cached artifact."""
+    return _cached_result(
+        app, f"{variant}~interleaved",
+        lambda: simulate_trace(composite_trace(app, variant), config),
+        config,
+    )
 
 
 @dataclass

@@ -1,19 +1,27 @@
-"""A gprof-like deterministic-enough function profiler.
+"""A gprof-like, deterministic function profiler.
 
-Used for Figure 1's function-wise runtime breakout: run an application
-callable under the profiler and report the top functions by *self*
-time, exactly how the paper used gprof on the BioPerf binaries.
+Used for Figure 1's function-wise breakout: run an application
+callable under the profiler and report the top functions by their
+*self* share, the way the paper used gprof on the BioPerf binaries.
 
-Implemented over ``sys.setprofile`` with ``perf_counter`` timing. Only
-functions defined inside the ``repro`` package are attributed (library
-internals fold into their callers), which keeps the output at the same
-granularity as a C-level gprof profile of the original tools.
+The cost measure is executed source lines, counted per function under
+``sys.settrace``, not host time: the same call on the same inputs
+yields the same counts on every run and every host, so Figure 1 prints
+the same bytes every time and can be cached like any simulation
+result. Line tables change between Python versions, so counts compare
+only within one minor version.
+
+Only lines of functions defined inside the ``repro`` package are
+counted. Library code is not traced at all, and comprehensions,
+generator expressions and lambdas fold into the function that runs
+them, which keeps the output at the granularity of a C-level gprof
+profile of the original tools. Module bodies executed by an import
+during the run are not counted.
 """
 
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass
 
 from repro.errors import WorkloadError
@@ -21,136 +29,146 @@ from repro.errors import WorkloadError
 
 @dataclass(frozen=True)
 class FunctionProfile:
-    """Timing for one function."""
+    """Executed-line and call counts for one function."""
 
     name: str
-    self_seconds: float
-    cumulative_seconds: float
+    lines: int
     calls: int
 
-    def share_of(self, total: float) -> float:
-        """This function's share of total self time."""
-        return self.self_seconds / total if total > 0 else 0.0
+    def share_of(self, total: int) -> float:
+        """This function's share of ``total`` executed lines."""
+        return self.lines / total if total > 0 else 0.0
 
 
 @dataclass
 class ProfileReport:
-    """The result of one profiled run."""
+    """The result of one profiled run, functions ranked by lines."""
 
-    total_seconds: float
+    total_lines: int
     functions: list[FunctionProfile]
 
     def top(self, count: int = 4) -> list[FunctionProfile]:
-        """The ``count`` most expensive functions by self time."""
+        """The ``count`` functions that executed the most lines."""
         return self.functions[:count]
 
     def share(self, name: str) -> float:
-        """Self-time share of the named function (0 when absent)."""
+        """Line share of the named function (0 when absent)."""
         for function in self.functions:
             if function.name == name:
-                return function.share_of(self.total_seconds)
+                return function.share_of(self.total_lines)
         return 0.0
 
     def format(self, count: int = 6) -> str:
         """gprof-flat-profile-like text rendering."""
-        lines = [f"{'% time':>7}  {'self(s)':>8}  {'calls':>8}  name"]
+        lines = [f"{'% lines':>7}  {'lines':>10}  {'calls':>8}  name"]
         for function in self.top(count):
             lines.append(
-                f"{100 * function.share_of(self.total_seconds):6.1f}%  "
-                f"{function.self_seconds:8.4f}  {function.calls:8d}  "
+                f"{100 * function.share_of(self.total_lines):6.1f}%  "
+                f"{function.lines:10d}  {function.calls:8d}  "
                 f"{function.name}"
             )
         return "\n".join(lines)
 
+    def to_payload(self) -> dict:
+        """JSON form: ``[name, lines, calls]`` per function, in rank order."""
+        return {
+            "functions": [
+                [function.name, function.lines, function.calls]
+                for function in self.functions
+            ],
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "ProfileReport":
+        functions = [
+            FunctionProfile(name=str(name), lines=int(lines),
+                            calls=int(calls))
+            for name, lines, calls in payload["functions"]
+        ]
+        return cls(
+            total_lines=sum(function.lines for function in functions),
+            functions=functions,
+        )
+
 
 class Profiler:
-    """Context-manager profiler attributing self time per function."""
+    """Single-use profiler counting executed lines per function."""
 
     def __init__(self, package_filter: str = "repro") -> None:
         self._filter = package_filter
-        self._stack: list[tuple[str, float, float]] = []
-        self._self_time: dict[str, float] = {}
-        self._cumulative: dict[str, float] = {}
+        self._lines: dict[str, int] = {}
         self._calls: dict[str, int] = {}
-        self._started = 0.0
-        self._total = 0.0
+        self._tracers: dict[str, object] = {}
+        self._used = False
 
-    def _name_of(self, frame) -> str | None:
-        module = frame.f_globals.get("__name__", "")
-        if not module.startswith(self._filter):
-            return None
+    def _tracer(self, name: str):
+        """The local trace function counting one function's lines."""
+        tracer = self._tracers.get(name)
+        if tracer is None:
+            lines = self._lines
+            lines.setdefault(name, 0)
+
+            def tracer(_frame, event, _arg):
+                if event == "line":
+                    lines[name] += 1
+                return tracer
+
+            self._tracers[name] = tracer
+        return tracer
+
+    def _in_package(self, frame) -> bool:
+        return frame.f_globals.get("__name__", "").startswith(self._filter)
+
+    def _on_call(self, frame, _event, _arg):
+        """Global trace function: pick who a new frame's lines count for."""
         name = frame.f_code.co_name
-        if name.startswith("<"):
-            # Comprehensions/genexprs fold into their caller, the way a
-            # C-level profile would never see them as functions.
+        if not self._in_package(frame) or name == "<module>":
             return None
-        return name
-
-    def _handler(self, frame, event, _arg):
-        now = time.perf_counter()
-        if event == "call":
-            name = self._name_of(frame)
-            if self._stack:
-                top_name, entered, child_time = self._stack[-1]
-                self._self_time[top_name] = (
-                    self._self_time.get(top_name, 0.0) + (now - entered)
-                )
-                self._stack[-1] = (top_name, now, child_time)
-            if name is not None:
-                self._stack.append((name, now, now))
-                self._calls[name] = self._calls.get(name, 0) + 1
-            else:
-                # Foreign frame: attribute to the caller (like gprof
-                # folding library time into the calling function).
-                if self._stack:
-                    self._stack.append((self._stack[-1][0], now, now))
-                else:
-                    self._stack.append(("<other>", now, now))
-        elif event == "return":
-            if not self._stack:
-                return
-            name, entered, started = self._stack.pop()
-            self._self_time[name] = (
-                self._self_time.get(name, 0.0) + (now - entered)
-            )
-            self._cumulative[name] = (
-                self._cumulative.get(name, 0.0) + (now - started)
-            )
-            if self._stack:
-                top_name, _entered, child_time = self._stack[-1]
-                self._stack[-1] = (top_name, now, child_time)
+        if not name.startswith("<"):
+            self._calls[name] = self._calls.get(name, 0) + 1
+            return self._tracer(name)
+        # A comprehension, generator expression or lambda: its lines
+        # count for the nearest package function up the stack.
+        caller = frame.f_back
+        while caller is not None:
+            name = caller.f_code.co_name
+            if self._in_package(caller) and not name.startswith("<"):
+                return self._tracer(name)
+            caller = caller.f_back
+        return None
 
     def run(self, callable_, *args, **kwargs):
-        """Profile one call; returns ``(value, ProfileReport)``."""
-        if self._started:
+        """Profile one call; returns ``(value, ProfileReport)``.
+
+        Any trace function installed before the call (a debugger, a
+        coverage tool) is restored afterwards.
+        """
+        if self._used:
             raise WorkloadError("profiler already used; create a fresh one")
-        self._started = time.perf_counter()
-        sys.setprofile(self._handler)
+        self._used = True
+        previous = sys.gettrace()
+        sys.settrace(self._on_call)
         try:
             value = callable_(*args, **kwargs)
         finally:
-            sys.setprofile(None)
-        self._total = time.perf_counter() - self._started
+            sys.settrace(previous)
         return value, self.report()
 
     def report(self) -> ProfileReport:
-        """Build the sorted report."""
-        total_self = sum(self._self_time.values())
+        """Build the report: most lines first, ties by name."""
         functions = sorted(
             (
                 FunctionProfile(
-                    name=name,
-                    self_seconds=seconds,
-                    cumulative_seconds=self._cumulative.get(name, seconds),
-                    calls=self._calls.get(name, 0),
+                    name=name, lines=lines, calls=self._calls.get(name, 0)
                 )
-                for name, seconds in self._self_time.items()
-                if name != "<other>"
+                for name, lines in self._lines.items()
             ),
-            key=lambda f: -f.self_seconds,
+            key=lambda function: (-function.lines, function.name),
         )
-        return ProfileReport(total_seconds=max(total_self, 1e-12),
-                             functions=functions)
+        return ProfileReport(
+            total_lines=sum(function.lines for function in functions),
+            functions=functions,
+        )
 
 
 def profile_call(callable_, *args, **kwargs):

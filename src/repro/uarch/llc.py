@@ -142,6 +142,24 @@ class SharingStudy:
             return float("inf") if self.private.misses else 1.0
         return self.private.misses / self.shared.misses
 
+    def to_payload(self) -> dict:
+        """JSON form: accesses and misses per organisation."""
+        return {
+            result.organisation: {
+                "accesses": result.accesses, "misses": result.misses,
+            }
+            for result in (self.shared, self.private)
+        }
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "SharingStudy":
+        shared, private = (
+            LlcResult(organisation, int(payload[organisation]["accesses"]),
+                      int(payload[organisation]["misses"]))
+            for organisation in ("shared", "private")
+        )
+        return cls(shared=shared, private=private)
+
 
 def sharing_study(
     worker_traces: "list[Trace | list[TraceEvent]]",

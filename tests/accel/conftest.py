@@ -7,16 +7,6 @@ from repro.engine import engine as engine_module
 
 
 @pytest.fixture()
-def restore_globals():
-    """Snapshot/restore the process-wide cache and default engine."""
-    original_cache = cache_module._active_cache
-    original_engine = engine_module._default_engine
-    yield
-    cache_module._active_cache = original_cache
-    engine_module._default_engine = original_engine
-
-
-@pytest.fixture()
 def fresh_engine(tmp_path, restore_globals):
     """An engine on a private cache directory (process cache re-pointed)."""
     root = tmp_path / "engine-cache"

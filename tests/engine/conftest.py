@@ -1,9 +1,9 @@
 """Shared fixtures: engines isolated from the process-wide singletons.
 
 The persistent cache and the default engine are per-process resources;
-these fixtures snapshot and restore them so engine tests can re-point
-the cache at a temporary directory without leaking state into the rest
-of the suite.
+the suite-wide ``restore_globals`` fixture snapshots and restores them,
+so engine tests can re-point the cache at a temporary directory without
+leaking state into the rest of the suite.
 """
 
 import pytest
@@ -12,16 +12,6 @@ from repro.engine import cache as cache_module
 from repro.engine import engine as engine_module
 from repro.engine.cache import PersistentCache
 from repro.isa.trace import TraceEvent
-
-
-@pytest.fixture()
-def restore_globals():
-    """Snapshot/restore the process-wide cache and default engine."""
-    original_cache = cache_module._active_cache
-    original_engine = engine_module._default_engine
-    yield
-    cache_module._active_cache = original_cache
-    engine_module._default_engine = original_engine
 
 
 @pytest.fixture()

@@ -218,6 +218,9 @@ class TestScalarAnchor:
         fig2.run()
         ext_phylip.run()
         ablations.interleaving()
+        # The fresh cache held none of their artifacts: all six simulated.
+        assert fresh_engine.stats.counters["artifact.computed"] == 6
+        assert "artifact.disk" not in fresh_engine.stats.counters
         fresh_engine.characterize(APP, "combination", power5().with_btac())
         assert fresh_engine.stats.points[-1].source == SOURCE_SIMULATED
 

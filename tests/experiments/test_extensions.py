@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.engine.cache import use_cache_dir
 from repro.errors import SimulationError
 from repro.experiments import ablations, ext_phylip
+from repro.kernels import parsimony
 
 
 class TestExtPhylip:
@@ -24,14 +26,20 @@ class TestExtPhylip:
     def test_compiler_matches_combination(self, data):
         assert data["comp_isel"] == pytest.approx(data["combination"])
 
-    def test_diverged_score_raises_naming_the_variant(self, monkeypatch):
+    def test_diverged_score_raises_naming_the_variant(
+        self, monkeypatch, tmp_path, restore_globals
+    ):
         """The semantic check is a raised error, so ``python -O`` keeps
-        it."""
+        it. It runs on a fresh cache: the ``data`` fixture has already
+        stored the results this check guards in the default one."""
+        use_cache_dir(tmp_path)
         monkeypatch.setattr(
-            ext_phylip.parsimony, "run", lambda variant, *args, **kw: -1
+            parsimony, "run", lambda variant, *args, **kw: -1
         )
         with pytest.raises(SimulationError, match="parsimony baseline"):
             ext_phylip.run()
+        # Nothing was stored, so the next run checks again.
+        assert not any(tmp_path.rglob("*.json"))
 
 
 class TestAblations:

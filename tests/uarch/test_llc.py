@@ -76,7 +76,7 @@ class TestParallelSsearchStudy:
         """The [26] reproduction at small scale: parallel workers over
         one database generate far less miss traffic under a shared
         LLC."""
-        from repro.experiments.ext_cmp_llc import parallel_ssearch_traces
+        from repro.perf.apps import parallel_ssearch_traces
 
         traces = parallel_ssearch_traces(
             workers=2, subjects_count=2, subject_length=40,
@@ -88,7 +88,7 @@ class TestParallelSsearchStudy:
         assert study.bandwidth_ratio > 1.5
 
     def test_workers_share_database_addresses(self):
-        from repro.experiments.ext_cmp_llc import worker_trace
+        from repro.perf.apps import worker_trace
         from repro.bio.workloads import make_family
 
         family = make_family("db", 2, 40, 0.3, seed=9)
