@@ -23,7 +23,10 @@ Run as a script for the CI smoke check::
     PYTHONPATH=src python benchmarks/bench_engine.py --smoke
 
 which runs a small batched sweep against a sequential one and verifies
-the result digests are identical.
+the result digests are identical, then reruns the batched sweep on the
+trace store the first two primed and a fresh result store: it must
+match, and it must leave the perf layer's trace memos empty, because a
+unit streams its traces from the store instead of decoding them whole.
 """
 
 import os
@@ -36,7 +39,11 @@ import pytest
 from repro.engine import cache as cache_module
 from repro.engine.engine import Engine
 from repro.experiments import fig3
-from repro.perf.characterize import clear_trace_caches
+from repro.perf.characterize import (
+    _background_cache,
+    _kernel_trace_cache,
+    clear_trace_caches,
+)
 from repro.uarch.config import power5
 
 POINTS = fig3.points()
@@ -201,13 +208,17 @@ def bench_engine_parallel(benchmark, jobs, tmp_path_factory):
 
 
 def _smoke() -> int:
-    """CI smoke: small batched sweep == sequential sweep, digest-exact."""
+    """CI smoke: small batched sweep == sequential sweep, digest-exact;
+    a batched rerun on the primed trace store matches and holds no
+    decoded trace."""
     import tempfile
 
     from repro.engine.scheduler import _result_digest
 
     points = _batch_points(app="clustalw", fxus=(1, 2, 3, 4),
                            penalties=(2, 4))
+    # One trace store for every sweep; each sweep gets its own results.
+    cache_module.use_cache_dir(tempfile.mkdtemp(prefix="repro-bench-traces-"))
 
     def sweep(batch):
         clear_trace_caches()
@@ -232,6 +243,18 @@ def _smoke() -> int:
         f"fallback {counters.get('batch.fallback', 0)}"
     )
     print("OK: batched sweep is digest-identical to sequential")
+    _, primed, primed_wall = sweep(True)
+    if primed != batched:
+        print("FAIL: batched sweep on the primed trace store differs")
+        return 1
+    held = sorted(_kernel_trace_cache) + sorted(_background_cache)
+    if held:
+        print(f"FAIL: the primed-store sweep left decoded traces in "
+              f"memory: {held} (streaming is the default; is "
+              f"REPRO_STREAM off?)")
+        return 1
+    print(f"OK: primed-store batched sweep matches ({primed_wall:.2f}s) "
+          f"and holds no decoded trace")
     return 0
 
 

@@ -49,6 +49,7 @@ from repro.errors import ReproError
 from repro.isa.trace import Trace, TraceEvent
 from repro.isa.tracestore import (
     TRACE_FORMAT_VERSION,
+    SegmentedTraceReader,
     load_trace_columnar,
     open_trace_segments,
     save_trace_v3,
@@ -103,6 +104,12 @@ def _iter_files(root: Path):
                     yield Path(entry.path)
             except OSError:
                 continue
+
+
+def _stored_events(path: Path) -> int:
+    """A stored trace's event count, from its validated v3 footer."""
+    with SegmentedTraceReader(path) as reader:
+        return reader.events
 
 
 def default_cache_dir() -> Path | None:
@@ -185,24 +192,9 @@ class PersistentCache:
     # -- traces ------------------------------------------------------------
 
     def load_trace(self, app: str, variant: str) -> Trace | None:
-        """The cached trace, or None (miss or evicted corruption).
-
-        Always returns the columnar form.
-        """
-        if not self.enabled:
-            return None
-        path = self.trace_path(app, variant)
-        if not path.exists():
-            self.counters.trace_misses += 1
-            return None
-        try:
-            trace = load_trace_columnar(path)
-        except (ReproError, OSError, ValueError):
-            self._evict(path)
-            self.counters.trace_misses += 1
-            return None
-        self.counters.trace_hits += 1
-        return trace
+        """The cached trace, columnar, or None (miss or evicted
+        corruption)."""
+        return self._read_trace(app, variant, load_trace_columnar)
 
     def load_trace_segments(self, app: str, variant: str):
         """A lazy segment iterator over the cached trace, or None.
@@ -215,20 +207,13 @@ class PersistentCache:
         the iterator in that (already-digest-checked, hence vanishingly
         rare) case.
         """
-        if not self.enabled:
-            return None
-        path = self.trace_path(app, variant)
-        if not path.exists():
-            self.counters.trace_misses += 1
-            return None
-        try:
-            segments = open_trace_segments(path)
-        except (ReproError, OSError, ValueError):
-            self._evict(path)
-            self.counters.trace_misses += 1
-            return None
-        self.counters.trace_hits += 1
-        return segments
+        return self._read_trace(app, variant, open_trace_segments)
+
+    def trace_length(self, app: str, variant: str) -> int | None:
+        """The cached trace's event count, or None (miss or evicted
+        corruption), read from the validated v3 footer without
+        inflating a frame."""
+        return self._read_trace(app, variant, _stored_events)
 
     def store_trace(
         self, app: str, variant: str, events: Trace | list[TraceEvent]
@@ -384,6 +369,25 @@ class PersistentCache:
         return report
 
     # -- internals ---------------------------------------------------------
+
+    def _read_trace(self, app: str, variant: str, read):
+        """``read(path)`` of the cached trace, or None (miss, or an entry
+        ``read`` finds structurally bad, evicted); counts the hit or
+        miss."""
+        if not self.enabled:
+            return None
+        path = self.trace_path(app, variant)
+        if not path.exists():
+            self.counters.trace_misses += 1
+            return None
+        try:
+            value = read(path)
+        except (ReproError, OSError, ValueError):
+            self._evict(path)
+            self.counters.trace_misses += 1
+            return None
+        self.counters.trace_hits += 1
+        return value
 
     def _atomic_write(self, path: Path, write) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)

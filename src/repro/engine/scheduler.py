@@ -16,9 +16,9 @@ way, in-process or in a pool worker: through
 unit's workload trace once for all of its core configs. Results fan
 back into the memo, the persistent cache and the run journal exactly as
 if each point ran alone (byte-identical payloads, one ``point_done``
-record per point). Before the pool forks, every sweep decodes each
-trace-sharing group's trace once in the parent, so workers inherit the
-warm decode instead of re-inflating the same tracestore blob.
+record per point). A unit reads its own traces: it streams them from
+the trace store frame by frame, or generates them on a miss, so nothing
+decodes a trace ahead of the unit that simulates it.
 
 Unlike a plain ``pool.map``, one bad point cannot abort the sweep. The
 serial and pool loops share one failure policy:
@@ -197,44 +197,9 @@ def group_by_trace(keys) -> dict:
     return groups
 
 
-def _prewarm_traces(pending: dict, engine) -> None:
-    """Decode each trace-sharing group's workload trace exactly once.
-
-    Runs in the parent before the pool is created, so forked workers
-    inherit the warm in-memory decode instead of each re-inflating the
-    same tracestore blob. Only points that will simulate count: a point
-    whose result is already on disk is served from the cache, so a group
-    of nothing but such points is not decoded. Failures are swallowed:
-    an unknown app or variant must surface later as that *point's*
-    failure, not abort the sweep during warming.
-    """
-    from repro.accel.config import AccelConfig
-    from repro.perf.characterize import background_trace, kernel_trace
-
-    cache = engine.cache
-    for (app, variant), keys in group_by_trace(pending).items():
-        # Accelerator points never replay a workload trace — warming
-        # one for them would pay the decode for nothing.
-        keys = [
-            key for key in keys
-            if not isinstance(pending[key], AccelConfig)
-            and not (
-                cache.enabled
-                and cache.result_path(app, variant, key[2]).exists()
-            )
-        ]
-        if not keys:
-            continue
-        try:
-            kernel_trace(app, variant)
-            background_trace(app)
-        except Exception:
-            continue
-        engine.stats.count("batch.decode_reuse_hits", len(keys) - 1)
-
-
 def _pool_context():
-    """Prefer fork (workers inherit warm in-memory trace caches)."""
+    """Prefer fork: a forked worker starts without re-importing the
+    program; spawn where fork is unavailable."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -793,9 +758,6 @@ def fan_out(
     before = dict(engine.stats.counters)
     try:
         if pending:
-            # One decode per trace-sharing group, before any fork, so
-            # workers inherit the warm decode.
-            _prewarm_traces(pending, engine)
             units = _units(pending, batch)
             policy = _Policy(units, retries, backoff, journal=journal_obj)
             with _InterruptWatch() if journal_obj is not None \

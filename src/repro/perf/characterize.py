@@ -191,13 +191,30 @@ def kernel_dimensions(app: str) -> tuple[tuple[int, int], ...]:
     length)`` per query for hmmer. The accelerator layer
     (:mod:`repro.accel`) uses these to turn a characterised kernel's
     cycle count into a per-cell host cost, so CPU and offload estimates
-    are calibrated from the *same* kernel inputs and traces.
+    are calibrated from the *same* kernel inputs and traces. A cached
+    artifact: hmmer's inputs take a Clustalw alignment and an HMM build.
     """
-    if app == "hmmer":
-        model, queries = _kernel_inputs(app)
-        return tuple((model.length, len(query)) for query in queries)
-    a, b = _kernel_inputs(app)
-    return ((len(a), len(b)),)
+    from repro.engine.engine import cached_numbers
+
+    def compute():
+        if app == "hmmer":
+            model, queries = _kernel_inputs(app)
+            return tuple((model.length, len(query)) for query in queries)
+        a, b = _kernel_inputs(app)
+        return ((len(a), len(b)),)
+
+    def decode(payload):
+        dims = tuple(tuple(pair) for pair in payload)
+        if not dims or not all(
+            len(pair) == 2 and all(type(n) is int and n > 0 for n in pair)
+            for pair in dims
+        ):
+            raise ValueError(f"not positive integer pairs: {payload!r}")
+        return dims
+
+    return cached_numbers(
+        app, "~dims", compute, lambda dims: [list(p) for p in dims], decode,
+    )
 
 
 def kernel_cell_count(app: str) -> int:
@@ -250,14 +267,26 @@ def kernel_trace(app: str, variant: str) -> Trace:
     return _kernel_trace_cache[key]
 
 
+def _kernel_length(app: str) -> int:
+    """Events in the app's baseline kernel trace: the count stored with
+    the persisted trace when it is not in memory, so measuring decodes
+    nothing; else (a miss, or the cache off) ``len(kernel_trace)``."""
+    from repro.engine.cache import active_cache
+
+    if (app, "baseline") not in _kernel_trace_cache:
+        length = active_cache().trace_length(app, "baseline")
+        if length is not None:
+            return length
+    return len(kernel_trace(app, "baseline"))
+
+
 def _background_length(app: str) -> int:
     """Background event count: sized from the *baseline* kernel length
     so that the kernel carries ``kernel_weight`` of the baseline
     instructions."""
     workload = APP_WORKLOADS[app]
-    kernel_length = len(kernel_trace(app, "baseline"))
     return max(1_000, int(
-        kernel_length * (1.0 - workload.kernel_weight)
+        _kernel_length(app) * (1.0 - workload.kernel_weight)
         / workload.kernel_weight
     ))
 
@@ -545,9 +574,7 @@ def characterize(
             f"unknown variant {variant!r}; have {VARIANTS}"
         )
     config = config or power5()
-    baseline_instructions = (
-        len(kernel_trace(app, "baseline")) + _background_length(app)
-    )
+    baseline_instructions = _kernel_length(app) + _background_length(app)
     from repro.perf.stream import pipelined, resolve_stream
 
     if resolve_stream(stream):
@@ -622,9 +649,7 @@ def characterize_batched(
             f"unknown variant {variant!r}; have {VARIANTS}"
         )
     configs = list(configs)
-    baseline_instructions = (
-        len(kernel_trace(app, "baseline")) + _background_length(app)
-    )
+    baseline_instructions = _kernel_length(app) + _background_length(app)
     from repro.perf.stream import pipelined, resolve_stream
 
     streaming = resolve_stream(stream)

@@ -124,7 +124,6 @@ class TestBatchedEqualsSequential:
             "batch.points": 3,
             "batch.vectorized": 3,
             "batch.fallback": 0,
-            "batch.decode_reuse_hits": 2,
         }
 
     def test_pool_sweep_digest_identical(self, tmp_path, restore_globals):
@@ -258,28 +257,6 @@ class TestCacheAndJournal:
         # Nothing left to batch.
         assert "batch.groups" not in rerun.stats.counters
 
-    def test_prewarm_skips_points_already_on_disk(
-        self, tmp_path, restore_globals
-    ):
-        """Only points left to simulate share a prewarmed decode; a
-        fully warm rerun decodes nothing up front."""
-        from repro.engine import cache as cache_module
-
-        root = tmp_path / "store"
-        cache_module.use_cache_dir(root)
-        Engine(cache_dir=root).characterize_many(
-            _points(fxus=(2,)), jobs=1, batch=True
-        )
-        partial = Engine(cache_dir=root)
-        partial.characterize_many(_points(), jobs=1, batch=True)
-        assert partial.stats.cache.result_hits == 1
-        # fxu 3 and 4
-        assert partial.stats.counters["batch.decode_reuse_hits"] == 1
-        rerun = Engine(cache_dir=root)
-        rerun.characterize_many(_points(), jobs=1, batch=True)
-        assert rerun.stats.cache.result_hits == 3
-        assert rerun.stats.counters.get("batch.decode_reuse_hits", 0) == 0
-
     def test_journal_records_batch_stats_and_per_point_done(
         self, fresh_engine
     ):
@@ -293,7 +270,6 @@ class TestCacheAndJournal:
             "batch.groups": 1,
             "batch.points": 3,
             "batch.vectorized": 3,
-            "batch.decode_reuse_hits": 2,
         }
 
     def test_journal_records_only_this_sweeps_counters(self, fresh_engine):
@@ -310,7 +286,6 @@ class TestCacheAndJournal:
             "batch.groups": 1,
             "batch.points": 2,
             "batch.vectorized": 2,
-            "batch.decode_reuse_hits": 1,
         }
         assert fresh_engine.stats.counters["batch.points"] == 5
 

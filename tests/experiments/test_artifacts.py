@@ -1,9 +1,10 @@
-"""Cached artifacts: the numbers fig1, fig2, ext_phylip, ext_cmp_llc
-and the interleaving ablation render from are stored once and read
-back, never recomputed; an entry that cannot be trusted is quarantined
-and recomputed."""
+"""Cached artifacts: the numbers fig1, fig2, ext_phylip, ext_cmp_llc,
+the interleaving ablation and ext_accel's kernel extents come from are
+stored once and read back, never recomputed; an entry that cannot be
+trusted is quarantined and recomputed."""
 
 import ast
+import importlib
 import json
 import sys
 from pathlib import Path
@@ -27,6 +28,8 @@ RENDERS = {
 }
 
 HELPERS = ("cached_artifact", "cached_numbers")
+
+perf = importlib.import_module("repro.perf.characterize")
 
 
 @pytest.fixture()
@@ -126,6 +129,41 @@ class TestUntrustedEntries:
         assert ext_cmp_llc.run(workers=2).render() == first
         assert counters()["artifact.computed"] == 2
         assert fresh_cache.counters.quarantined == 1
+
+
+class TestKernelDimensions:
+    """ext_accel's DP extents are an artifact: hmmer's kernel inputs
+    take a Clustalw alignment and an HMM build to make."""
+
+    def test_warm_read_builds_no_kernel_inputs(
+        self, fresh_cache, monkeypatch
+    ):
+        first = {app: perf.kernel_dimensions(app) for app in APPS}
+        assert counters()["artifact.computed"] == len(APPS)
+
+        def rebuilt(app):
+            raise AssertionError(f"{app} kernel inputs were rebuilt")
+
+        monkeypatch.setattr(perf, "_kernel_inputs", rebuilt)
+        assert {app: perf.kernel_dimensions(app) for app in APPS} == first
+        assert counters()["artifact.disk"] == len(APPS)
+
+    @pytest.mark.parametrize("value", [
+        [], [[0, 3]], [[2, 3, 4]], [[True, 3]], [[2.0, 3]], "23", None,
+    ], ids=repr)
+    def test_anything_but_positive_integer_pairs_is_recomputed(
+        self, fresh_cache, value
+    ):
+        expected = perf.kernel_dimensions("blast")
+        (path,) = (fresh_cache.version_root / "results" / "blast").glob(
+            "~dims-*.json"
+        )
+        payload = json.loads(path.read_text())
+        payload["value"] = value
+        path.write_text(json.dumps(payload))
+        assert perf.kernel_dimensions("blast") == expected
+        assert fresh_cache.counters.quarantined == 1
+        assert counters()["artifact.computed"] == 2
 
 
 def test_fig1_key_follows_the_python_minor_version(monkeypatch):
