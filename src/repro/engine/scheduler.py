@@ -206,8 +206,8 @@ def _pool_context():
     )
 
 
-def _worker_init(graceful_parent: bool) -> None:
-    """Reset signal disposition in pool workers.
+def _worker_init(graceful_parent: bool, workers: int) -> None:
+    """Reset signal disposition in pool workers; split the CPUs.
 
     Forked workers inherit whatever handlers the parent had at fork
     time — including :class:`_InterruptWatch`'s graceful SIGTERM
@@ -216,10 +216,17 @@ def _worker_init(graceful_parent: bool) -> None:
     is how hung or orphaned workers are reclaimed). Under a graceful
     parent they additionally ignore SIGINT: a terminal Ctrl-C goes to
     the whole process group, and the *parent* decides how to stop.
+
+    A replay call spreads its configs over one thread per CPU of the
+    affinity mask; ``workers`` pool workers share those CPUs, so each
+    replays on ``max(1, cpus // workers)`` threads.
     """
+    from repro.uarch.batched import host_cpus, set_replay_threads
+
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if graceful_parent:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
+    set_replay_threads(max(1, host_cpus() // workers))
 
 
 def _characterize_worker(task):
@@ -572,7 +579,7 @@ def _run_pool(engine, policy: _Policy, workers: int, worker,
                 pool = ProcessPoolExecutor(
                     max_workers=workers, mp_context=context,
                     initializer=_worker_init,
-                    initargs=(watch is not None and watch.installed,),
+                    initargs=(watch is not None and watch.installed, workers),
                 )
             try:
                 submit_ready()

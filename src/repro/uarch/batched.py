@@ -31,6 +31,19 @@ through :mod:`ctypes`:
 * the **timing replay** reads the int32 per-event static id plus one
   packed row per static instruction, and the uint8 action stream.
 
+The configs of a trace are independent, so one replay call takes every
+(frontend group, config) item at once and hands the items out through a
+shared cursor to ``min(items, CPUs)`` threads, the calling thread among
+them (:mod:`ctypes` releases the GIL around the kernel). CPUs are those
+of the process's affinity mask; a pool worker takes its share
+(:func:`set_replay_threads`). A one-item call starts no thread, and no
+thread outlives the call. Each thread replays its items one at a time,
+from fresh state, in its own bounded scratch: three int32 usage lanes
+in an anonymous mapping that is unmapped when the call returns, and a
+``window``-slot ring for the commit-window tail. An item whose lanes
+overflow retries at four times the capacity, then replays in Python;
+the other items are unaffected.
+
 That is where the speedup comes from: the frontend costs a few
 nanoseconds per event instead of a Python-level walk, and the replay
 streams five bytes per event and config instead of sixty-four. A
@@ -43,8 +56,10 @@ equivalents, used only where the kernel cannot give the identical
 answer or cannot run: predictor kinds other than gshare (the walk; the
 replay stays native), a segment with an event whose byte address would
 overflow int64 (the walk moves to Python, state and all, from that
-segment on), geometry that does not fit int64, ``REPRO_NATIVE=off``,
-and hosts with no C compiler (both halves).
+segment on), geometry that does not fit int64, a config with more units
+than an int32 lane counts or whose lanes still overflow (the replay of
+that config), ``REPRO_NATIVE=off``, and hosts with no C compiler (both
+halves).
 
 Every frontend group, one config or many, runs the shared pass and
 the replay; ``simulate_trace`` and the engine's point-at-a-time path
@@ -73,11 +88,14 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import mmap
 import os
 import secrets
 import shutil
 import subprocess
 import tempfile
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -915,144 +933,172 @@ int repro_frontend_walk(
  * capacity; larger than any static occupancy the ISA emits. */
 #define MARGIN 128
 
-/* Replay the per-config timing recurrence over a shared action
- * stream. Event i's static facts are row sid[i] of `rows`: s1, s2, s3,
- * unit, occupancy, latency, dst (8 int64 slots). Returns 0 on success,
- * 1 when a usage lane would overflow (caller retries with a larger cap
- * or falls back to Python). */
-int repro_replay_batch(
-    int64_t n_events, int64_t n_configs,
-    const int *sid, const int64_t *rows, const uint8_t *action,
-    const int64_t *params,
+/* Replay one config over one action stream, from fresh state. Event
+ * i's static facts are row sid[i] of `rows`: s1, s2, s3, unit,
+ * occupancy, latency, dst (8 int64 slots). A usage-lane cell counts
+ * the ops a unit issues in one cycle, never more than the unit count,
+ * so the lanes are int32. `ring` is the commit-window tail: slot wi
+ * holds the commit cycle of the event `window` places back (0 before
+ * the first `window` events). Returns 0, or 1 when a usage lane would
+ * overflow; either way max_used[] bounds the lane cells written. */
+static int replay_one(
+    int64_t n_events, const int *sid, const int64_t *rows,
+    const uint8_t *action, const int64_t *p,
     int64_t interval_size, int64_t n_intervals,
     int64_t *cycles_out, int64_t *stall_out, int64_t *interval_out,
-    int64_t *window_buf, int64_t *usage_buf, int64_t usage_cap)
+    int64_t *ring, int32_t *const usage[3], int64_t usage_cap,
+    int64_t max_used[3])
 {
-    int64_t *usage[3];
-    usage[0] = usage_buf;
-    usage[1] = usage_buf + usage_cap;
-    usage[2] = usage_buf + 2 * usage_cap;
-    for (int64_t c = 0; c < n_configs; c++) {
-        const int64_t *p = params + c * 12;
-        const int64_t fetch_width = p[0], commit_width = p[1];
-        const int64_t depth = p[2], window = p[3];
-        const int64_t taken_penalty = p[4], wrong_penalty = p[5];
-        const int64_t caps[3] = {p[6], p[7], p[8]};
-        const int64_t hit_latency = p[9], miss_latency = p[10];
-        int64_t reg_ready[34];
-        memset(reg_ready, 0, sizeof reg_ready);
-        int64_t floors[3] = {0, 0, 0};
-        int64_t max_used[3] = {-1, -1, -1};
-        /* Entries beyond the seed region are written before they are
-         * read (write index i+window always leads read index i), so
-         * only the seed needs clearing between configs. */
-        memset(window_buf, 0, (size_t)window * sizeof(int64_t));
-        int64_t dispatch_base = depth;
-        int64_t fetched = 0, last_commit = 0, committed = 0;
-        int64_t stall[6] = {0, 0, 0, 0, 0, 0};
-        int64_t next_boundary =
-            (interval_size > 0 && n_intervals > 0) ? interval_size : -1;
-        int64_t interval_idx = 0;
-        for (int64_t i = 0; i < n_events; i++) {
-            const int64_t *row = rows + 8 * (int64_t)sid[i];
-            if (fetched >= fetch_width) { dispatch_base += 1; fetched = 0; }
-            fetched += 1;
-            int64_t dispatch = dispatch_base;
-            if (window_buf[i] > dispatch) dispatch = window_buf[i];
-            int64_t ready = reg_ready[row[0]];
-            if (reg_ready[row[1]] > ready) ready = reg_ready[row[1]];
-            if (reg_ready[row[2]] > ready) ready = reg_ready[row[2]];
-            int64_t wait_dep, limiter;
-            if (ready > dispatch) { wait_dep = ready; limiter = 1; }
-            else { wait_dep = dispatch; limiter = 0; }
-            const int64_t u = row[3];
-            int64_t issue;
-            if (u == 3) {
-                issue = wait_dep;
+    const int64_t fetch_width = p[0], commit_width = p[1];
+    const int64_t depth = p[2], window = p[3];
+    const int64_t taken_penalty = p[4], wrong_penalty = p[5];
+    const int64_t caps[3] = {p[6], p[7], p[8]};
+    const int64_t hit_latency = p[9], miss_latency = p[10];
+    int64_t reg_ready[34];
+    memset(reg_ready, 0, sizeof reg_ready);
+    int64_t floors[3] = {0, 0, 0};
+    memset(ring, 0, (size_t)window * sizeof(int64_t));
+    int64_t wi = 0;
+    int64_t dispatch_base = depth;
+    int64_t fetched = 0, last_commit = 0, committed = 0;
+    int64_t stall[6] = {0, 0, 0, 0, 0, 0};
+    int64_t next_boundary =
+        (interval_size > 0 && n_intervals > 0) ? interval_size : -1;
+    int64_t interval_idx = 0;
+    for (int64_t i = 0; i < n_events; i++) {
+        const int64_t *row = rows + 8 * (int64_t)sid[i];
+        if (fetched >= fetch_width) { dispatch_base += 1; fetched = 0; }
+        fetched += 1;
+        int64_t dispatch = dispatch_base;
+        if (ring[wi] > dispatch) dispatch = ring[wi];
+        int64_t ready = reg_ready[row[0]];
+        if (reg_ready[row[1]] > ready) ready = reg_ready[row[1]];
+        if (reg_ready[row[2]] > ready) ready = reg_ready[row[2]];
+        int64_t wait_dep, limiter;
+        if (ready > dispatch) { wait_dep = ready; limiter = 1; }
+        else { wait_dep = dispatch; limiter = 0; }
+        const int64_t u = row[3];
+        int64_t issue;
+        if (u == 3) {
+            issue = wait_dep;
+        } else {
+            if (wait_dep >= usage_cap - MARGIN) return 1;
+            int32_t *us = usage[u];
+            const int64_t cap = caps[u];
+            int64_t floor_ = floors[u];
+            int64_t cycle = wait_dep > floor_ ? wait_dep : floor_;
+            const int64_t o = row[4];
+            if (o == 1) {
+                int64_t count = us[cycle];
+                while (count >= cap) { cycle += 1; count = us[cycle]; }
+                if (cycle >= usage_cap - MARGIN) return 1;
+                count += 1;
+                us[cycle] = (int32_t)count;
+                if (cycle > max_used[u]) max_used[u] = cycle;
+                if (cycle > wait_dep) limiter = u + 2;
+                issue = cycle;
+                if (count >= cap && cycle == floor_) {
+                    floor_ += 1;
+                    while (us[floor_] >= cap) floor_ += 1;
+                    floors[u] = floor_;
+                }
             } else {
-                if (wait_dep >= usage_cap - MARGIN) return 1;
-                int64_t *us = usage[u];
-                const int64_t cap = caps[u];
-                int64_t floor_ = floors[u];
-                int64_t cycle = wait_dep > floor_ ? wait_dep : floor_;
-                const int64_t o = row[4];
-                if (o == 1) {
-                    int64_t count = us[cycle];
-                    while (count >= cap) { cycle += 1; count = us[cycle]; }
-                    if (cycle >= usage_cap - MARGIN) return 1;
-                    count += 1;
-                    us[cycle] = count;
-                    if (cycle > max_used[u]) max_used[u] = cycle;
-                    if (cycle > wait_dep) limiter = u + 2;
-                    issue = cycle;
-                    if (count >= cap && cycle == floor_) {
-                        floor_ += 1;
-                        while (us[floor_] >= cap) floor_ += 1;
-                        floors[u] = floor_;
-                    }
-                } else {
-                    /* Non-pipelined op: unit free for the whole
-                     * occupancy; the floor stays read-only here. */
-                    for (;;) {
-                        int64_t k = 0;
-                        for (; k < o; k++)
-                            if (us[cycle + k] >= cap) break;
-                        if (k == o) break;
-                        cycle += 1;
-                        if (cycle + o >= usage_cap - MARGIN) return 1;
-                    }
+                /* Non-pipelined op: unit free for the whole
+                 * occupancy; the floor stays read-only here. */
+                for (;;) {
+                    int64_t k = 0;
+                    for (; k < o; k++)
+                        if (us[cycle + k] >= cap) break;
+                    if (k == o) break;
+                    cycle += 1;
                     if (cycle + o >= usage_cap - MARGIN) return 1;
-                    for (int64_t k = 0; k < o; k++) us[cycle + k] += 1;
-                    if (cycle + o - 1 > max_used[u])
-                        max_used[u] = cycle + o - 1;
-                    if (cycle > wait_dep) limiter = u + 2;
-                    issue = cycle;
                 }
-            }
-            const int a = action[i];
-            int64_t latency = row[5];
-            if (a & 8) latency = hit_latency;
-            else if (a & 16) { latency = miss_latency; limiter = 5; }
-            const int64_t complete = issue + latency;
-            reg_ready[row[6]] = complete;
-            const int ba = a & 7;
-            if (ba == 1) {
-                dispatch_base = complete + 1 + depth; fetched = 0;
-            } else if (ba == 2) {
-                dispatch_base += taken_penalty; fetched = 0;
-            } else if (ba == 3) {
-                fetched = fetch_width;
-            } else if (ba == 4) {
-                dispatch_base += wrong_penalty; fetched = 0;
-            }
-            if (complete > last_commit) {
-                stall[limiter] += complete - last_commit;
-                last_commit = complete;
-                committed = 1;
-            } else {
-                committed += 1;
-                if (committed > commit_width) {
-                    stall[limiter] += 1;
-                    last_commit += 1;
-                    committed = 1;
-                }
-            }
-            window_buf[i + window] = last_commit;
-            if (i + 1 == next_boundary) {
-                interval_out[c * n_intervals + interval_idx] = last_commit;
-                interval_idx += 1;
-                next_boundary = interval_idx < n_intervals
-                    ? next_boundary + interval_size : -1;
+                if (cycle + o >= usage_cap - MARGIN) return 1;
+                for (int64_t k = 0; k < o; k++) us[cycle + k] += 1;
+                if (cycle + o - 1 > max_used[u])
+                    max_used[u] = cycle + o - 1;
+                if (cycle > wait_dep) limiter = u + 2;
+                issue = cycle;
             }
         }
-        cycles_out[c] = last_commit + 1;
-        for (int k = 0; k < 6; k++) stall_out[c * 6 + k] = stall[k];
-        for (int uix = 0; uix < 3; uix++)
-            if (max_used[uix] >= 0)
-                memset(usage[uix], 0,
-                       (size_t)(max_used[uix] + 1) * sizeof(int64_t));
+        const int a = action[i];
+        int64_t latency = row[5];
+        if (a & 8) latency = hit_latency;
+        else if (a & 16) { latency = miss_latency; limiter = 5; }
+        const int64_t complete = issue + latency;
+        reg_ready[row[6]] = complete;
+        const int ba = a & 7;
+        if (ba == 1) {
+            dispatch_base = complete + 1 + depth; fetched = 0;
+        } else if (ba == 2) {
+            dispatch_base += taken_penalty; fetched = 0;
+        } else if (ba == 3) {
+            fetched = fetch_width;
+        } else if (ba == 4) {
+            dispatch_base += wrong_penalty; fetched = 0;
+        }
+        if (complete > last_commit) {
+            stall[limiter] += complete - last_commit;
+            last_commit = complete;
+            committed = 1;
+        } else {
+            committed += 1;
+            if (committed > commit_width) {
+                stall[limiter] += 1;
+                last_commit += 1;
+                committed = 1;
+            }
+        }
+        ring[wi] = last_commit;
+        wi = wi + 1 == window ? 0 : wi + 1;
+        if (i + 1 == next_boundary) {
+            interval_out[interval_idx] = last_commit;
+            interval_idx += 1;
+            next_boundary = interval_idx < n_intervals
+                ? next_boundary + interval_size : -1;
+        }
     }
+    *cycles_out = last_commit + 1;
+    for (int k = 0; k < 6; k++) stall_out[k] = stall[k];
     return 0;
+}
+
+/* Replay work items until none are left. Item c is action stream
+ * actions[c] under the parameter row params + 12 * c; the call claims
+ * the entries of `order` through the shared `cursor`, so several
+ * threads may run it at once over one item set, each with its own
+ * scratch: `ring` (as many int64 slots as the largest window) and
+ * three int32 usage lanes of `usage_cap` cells, zeroed on entry and
+ * left zeroed. An item writes only its own rows of cycles_out,
+ * stall_out (6 slots) and interval_out (n_intervals slots), and sets
+ * status[c] to 0, or to 1 when a usage lane would overflow (the caller
+ * retries it with a larger cap or replays it in Python). */
+void repro_replay_batch(
+    int64_t n_events, const int *sid, const int64_t *rows,
+    const uint8_t *const *actions, const int64_t *params,
+    int64_t interval_size, int64_t n_intervals,
+    const int64_t *order, int64_t n_order, int64_t *cursor,
+    int64_t *cycles_out, int64_t *stall_out, int64_t *interval_out,
+    int64_t *status, int64_t *ring, int32_t *usage_buf, int64_t usage_cap)
+{
+    int32_t *const usage[3] = {
+        usage_buf, usage_buf + usage_cap, usage_buf + 2 * usage_cap,
+    };
+    for (;;) {
+        const int64_t k = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED);
+        if (k >= n_order) return;
+        const int64_t c = order[k];
+        int64_t max_used[3] = {-1, -1, -1};
+        status[c] = replay_one(
+            n_events, sid, rows, actions[c], params + 12 * c,
+            interval_size, n_intervals, cycles_out + c, stall_out + 6 * c,
+            interval_out + c * n_intervals, ring, usage, usage_cap,
+            max_used);
+        for (int u = 0; u < 3; u++)
+            if (max_used[u] >= 0)
+                memset(usage[u], 0,
+                       (size_t)(max_used[u] + 1) * sizeof(int32_t));
+    }
 }
 """
 
@@ -1105,10 +1151,10 @@ def _build_native():
     lib.repro_frontend_walk.argtypes = (
         [count] + [pointer] * 11 + [count, pointer]
     )
-    lib.repro_replay_batch.restype = ctypes.c_int
+    lib.repro_replay_batch.restype = None
     lib.repro_replay_batch.argtypes = (
-        [count, count] + [pointer] * 4 + [count, count] + [pointer] * 5
-        + [count]
+        [count] + [pointer] * 4 + [count, count, pointer, count]
+        + [pointer] * 7 + [count]
     )
     return lib
 
@@ -1147,59 +1193,154 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
+#: Unit counts above this take the Python replay: the kernel's usage
+#: lanes are int32.
+_LANE_MAX = 2**31 - 1
+
+#: Threads one replay call may use; None means one per CPU the process
+#: may run on. Pool workers lower it to their share of the host.
+_thread_budget: int | None = None
+
+
+def host_cpus() -> int:
+    """CPUs this process may run on (its affinity mask, where the OS
+    reports one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API
+        return os.cpu_count() or 1
+
+
+def set_replay_threads(count: int | None) -> None:
+    """Cap the threads of every later replay call (None: one per CPU
+    of the affinity mask). Each pool worker sets its share at start-up,
+    so a pool of N workers uses the host's CPUs once, not N times."""
+    global _thread_budget
+    _thread_budget = count
+
+
+def replay_threads() -> int:
+    """How many threads a replay call with enough configs uses."""
+    return _thread_budget or host_cpus()
+
+
+def _lane_cap(n: int) -> int:
+    """Initial usage-lane capacity, in cycles, of an n-event replay."""
+    return 8 * n + 4096
+
+
+@contextmanager
+def _scratch(nbytes: int):
+    """The address of ``nbytes`` of zeroed scratch, unmapped on exit.
+
+    An anonymous mapping rather than a heap buffer: pages the replay
+    never touches are never resident, and the ones it touches go back
+    to the OS when the call returns. A large heap buffer stays mapped
+    only until glibc's dynamic mmap threshold rises past its size;
+    after that it reuses freed heap memory, which calloc zeroes in full
+    and free keeps resident.
+    """
+    region = mmap.mmap(-1, nbytes)
+    view = ctypes.c_char.from_buffer(region)
+    try:
+        yield ctypes.addressof(view)
+    finally:
+        del view
+        region.close()
+
+
+def _in_threads(count: int, task, *args) -> None:
+    """Run ``task(*args)`` on ``count`` threads, the calling thread
+    among them; return once every one has finished, re-raising the
+    first error. One thread runs ``task`` inline and starts none."""
+    errors: list[BaseException] = []
+
+    def guarded() -> None:
+        try:
+            task(*args)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=guarded) for _ in range(count - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        task(*args)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
+
+
 def _run_native(
     lib,
     meta: _StaticMeta,
-    action: np.ndarray,
+    actions: list[np.ndarray],
     rows: list[list[int]],
     interval_size: int,
     n_intervals: int,
-    max_window: int,
 ):
-    """Drive the C replay; None when it cannot cover this group."""
+    """Replay every ``(actions[k], rows[k])`` item in the C kernel.
+
+    The items go out through one shared cursor to
+    ``min(items, replay_threads())`` threads, the calling thread among
+    them, each with its own scratch, so uneven configs balance out.
+    An item whose usage lane would overflow retries at four times the
+    lane capacity. Returns per-item cycles, stall rows, interval
+    commits and ``done`` flags; an item not done (still overflowing,
+    a unit count beyond the int32 lanes, or an occupancy beyond the
+    kernel's margin) needs the Python replay.
+    """
     n = meta.n
-    if int(meta.rows[:, 4].max()) >= 96:  # beyond the kernel's MARGIN
-        return None
     sid = np.ascontiguousarray(meta.sid, dtype=np.intc)
     table = np.ascontiguousarray(meta.rows, dtype=np.int64)
-    action = np.ascontiguousarray(action, dtype=np.uint8)
-    if len(sid) != n or len(action) != n or table.shape[1] != _ROW:
+    streams = [np.ascontiguousarray(a, dtype=np.uint8) for a in actions]
+    if (len(sid) != n or table.shape[1] != _ROW
+            or any(len(stream) != n for stream in streams)):
         raise SimulationError("replay columns disagree on the event count")
-    n_configs = len(rows)
-    params = np.ascontiguousarray(np.asarray(rows, dtype=np.int64))
-    cycles = np.zeros(n_configs, dtype=np.int64)
-    stalls = np.zeros((n_configs, 6), dtype=np.int64)
-    iv = np.zeros((n_configs, max(1, n_intervals)), dtype=np.int64)
-    window_buf = np.zeros(n + max_window + 1, dtype=np.int64)
-    cap = 8 * n + 4096
-    for _attempt in range(2):
-        # np.zeros is calloc-backed: untouched pages stay virtual, and
-        # the kernel re-clears only the region it actually used.
-        usage = np.zeros(3 * cap, dtype=np.int64)
-        ret = lib.repro_replay_batch(
-            n,
-            n_configs,
-            _ptr(sid),
-            _ptr(table),
-            _ptr(action),
-            _ptr(params),
-            interval_size,
-            n_intervals,
-            _ptr(cycles),
-            _ptr(stalls),
-            _ptr(iv),
-            _ptr(window_buf),
-            _ptr(usage),
-            cap,
-        )
-        if ret == 0:
-            return (
-                cycles.tolist(),
-                stalls.tolist(),
-                iv[:, :n_intervals].tolist(),
+    n_items = len(rows)
+    status = np.ones(n_items, dtype=np.int64)  # 0 once replayed
+    cycles = np.zeros(n_items, dtype=np.int64)
+    stalls = np.zeros((n_items, 6), dtype=np.int64)
+    iv = np.zeros((n_items, max(1, n_intervals)), dtype=np.int64)
+    within_margin = int(table[:, 4].max()) < 96  # the kernel's MARGIN
+    todo = np.array(
+        [k for k, row in enumerate(rows)
+         if within_margin and max(row[6:9]) <= _LANE_MAX],
+        dtype=np.int64,
+    )
+    params = np.zeros((n_items, _PARAM_STRIDE), dtype=np.int64)
+    for k in todo.tolist():
+        params[k] = rows[k]
+    pointers = np.array([_ptr(stream) for stream in streams], dtype=np.uintp)
+    ring_bytes = 8 * max(row[3] for row in rows)
+
+    def replay(todo: np.ndarray, cursor: np.ndarray, cap: int) -> None:
+        with _scratch(ring_bytes + 12 * cap) as base:
+            lib.repro_replay_batch(
+                n, _ptr(sid), _ptr(table), _ptr(pointers), _ptr(params),
+                interval_size, n_intervals, _ptr(todo), len(todo),
+                _ptr(cursor), _ptr(cycles), _ptr(stalls), _ptr(iv),
+                _ptr(status), base, base + ring_bytes, cap,
             )
+
+    cap = _lane_cap(n)
+    for _attempt in range(2):
+        if not len(todo):
+            break
+        cursor = np.zeros(1, dtype=np.int64)
+        _in_threads(
+            min(len(todo), replay_threads()), replay, todo, cursor, cap
+        )
+        todo = todo[status[todo] != 0]
         cap *= 4
-    return None
+    return (
+        cycles.tolist(),
+        stalls.tolist(),
+        iv[:, :n_intervals].tolist(),
+        (status == 0).tolist(),
+    )
 
 
 def _run_python(
@@ -1343,69 +1484,53 @@ def _run_python(
 # --------------------------------------------------------------------
 
 
-def _replay(
+def _sim_result(
     meta: _StaticMeta,
     front: _Frontend,
-    configs: list[CoreConfig],
+    config: CoreConfig,
+    cycles: int,
+    stalls: list[int],
+    iv_commits: list[int],
     segment: int,
     n_intervals: int,
-) -> tuple[list[SimResult], bool]:
-    """Per-config timing replay over one finished frontend."""
-    n = meta.n
-    rows = [_config_params(config) for config in configs]
-    max_window = max(config.window for config in configs)
-    native_used = False
-    out = None
-    lib = _native_kernel()
-    if lib is not None:
-        out = _run_native(
-            lib, meta, front.action, rows,
-            segment if n_intervals else 0, n_intervals, max_window,
-        )
-        native_used = out is not None
-    if out is None:
-        out = _run_python(meta, front.action, rows, segment, n_intervals)
-    cycles, stalls, iv_commits = out
-
-    results: list[SimResult] = []
-    for ci, config in enumerate(configs):
-        result = SimResult(
-            instructions=n,
-            cycles=cycles[ci],
-            branches=front.branches,
-            conditional_branches=front.conditional_branches,
-            taken_branches=front.taken_branches,
-            direction_mispredictions=front.direction_mispredictions,
-            target_mispredictions=front.target_mispredictions,
-            taken_bubbles=front.taken_bubbles,
-            loads=front.loads,
-            stores=front.stores,
-            load_misses=front.load_misses,
-            fxu_ops=meta.fxu_ops,
-        )
-        result.stall_cycles = dict(zip(_LIMITERS, stalls[ci]))
-        result.cache = CacheStats(
-            accesses=front.cache_accesses, misses=front.cache_misses
-        )
-        if config.btac is not None and front.btac is not None:
-            result.btac = BtacStats(*front.btac)
-        intervals: list[IntervalRecord] = []
-        previous = 0
-        for k in range(n_intervals):
-            commit = iv_commits[ci][k]
-            intervals.append(
-                IntervalRecord(
-                    start_instruction=k * segment,
-                    instructions=segment,
-                    cycles=max(1, commit - previous),
-                    branches=front.iv_branches[k],
-                    direction_mispredictions=front.iv_mispredicts[k],
-                )
+) -> SimResult:
+    """One config's :class:`SimResult` from its frontend and replay."""
+    result = SimResult(
+        instructions=meta.n,
+        cycles=cycles,
+        branches=front.branches,
+        conditional_branches=front.conditional_branches,
+        taken_branches=front.taken_branches,
+        direction_mispredictions=front.direction_mispredictions,
+        target_mispredictions=front.target_mispredictions,
+        taken_bubbles=front.taken_bubbles,
+        loads=front.loads,
+        stores=front.stores,
+        load_misses=front.load_misses,
+        fxu_ops=meta.fxu_ops,
+    )
+    result.stall_cycles = dict(zip(_LIMITERS, stalls))
+    result.cache = CacheStats(
+        accesses=front.cache_accesses, misses=front.cache_misses
+    )
+    if config.btac is not None and front.btac is not None:
+        result.btac = BtacStats(*front.btac)
+    intervals: list[IntervalRecord] = []
+    previous = 0
+    for k in range(n_intervals):
+        commit = iv_commits[k]
+        intervals.append(
+            IntervalRecord(
+                start_instruction=k * segment,
+                instructions=segment,
+                cycles=max(1, commit - previous),
+                branches=front.iv_branches[k],
+                direction_mispredictions=front.iv_mispredicts[k],
             )
-            previous = commit
-        result.intervals = intervals
-        results.append(result)
-    return results, native_used
+        )
+        previous = commit
+    result.intervals = intervals
+    return result
 
 
 def _interval_plan(interval_size: int | None, n: int) -> tuple[int, int]:
@@ -1431,23 +1556,45 @@ def _replay_groups(
     segment: int,
     n_intervals: int,
 ) -> BatchOutcome:
-    """Replay each ``(members, frontend)`` pair; assemble the outcome."""
-    results: list[SimResult | None] = [None] * len(configs)
-    native_used = native_frontend = False
-    for members, front in passes:
-        group_results, used_native = _replay(
-            meta, front, [configs[index] for index in members], segment,
+    """Replay every config of every ``(members, frontend)`` pair; one
+    native call takes all of them, so even one-config groups spread
+    over the CPUs. Configs the kernel cannot replay take the Python
+    replay, one call per frontend."""
+    items = [(index, front) for members, front in passes for index in members]
+    rows = [_config_params(configs[index]) for index, _ in items]
+    lib = _native_kernel()
+    if lib is not None:
+        cycles, stalls, iv_commits, done = _run_native(
+            lib, meta, [front.action for _, front in items], rows,
+            segment if n_intervals else 0, n_intervals,
+        )
+    else:
+        cycles, stalls, iv_commits, done = (
+            [None] * len(items) for _ in range(4)
+        )
+    leftovers: dict[int, list[int]] = {}
+    for k, (_, front) in enumerate(items):
+        if not done[k]:
+            leftovers.setdefault(id(front), []).append(k)
+    for ks in leftovers.values():
+        out = _run_python(
+            meta, items[ks[0]][1].action, [rows[k] for k in ks], segment,
             n_intervals,
         )
-        native_used = native_used or used_native
-        native_frontend = native_frontend or front.native
-        for index, result in zip(members, group_results):
-            results[index] = result
+        for k, cycle, stall, commits in zip(ks, *out):
+            cycles[k], stalls[k], iv_commits[k] = cycle, stall, commits
+    results: list[SimResult | None] = [None] * len(configs)
+    for k, (index, front) in enumerate(items):
+        results[index] = _sim_result(
+            meta, front, configs[index], cycles[k], stalls[k],
+            iv_commits[k], segment, n_intervals,
+        )
     if guards_enabled():
         for result, config in zip(results, configs):
             check_sim_result(result, config)
     return BatchOutcome(
-        results, [True] * len(configs), native_used, native_frontend
+        results, [True] * len(configs), any(done),
+        any(front.native for _, front in items),
     )
 
 

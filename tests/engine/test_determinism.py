@@ -3,15 +3,22 @@
 Runs Table I twice through the engine — once serially, once fanned out
 over four worker processes — with persistence disabled so the parallel
 run really simulates in the pool, and asserts the rendered tables and
-the raw data dictionaries are identical.
+the raw data dictionaries are identical. Pool workers split the CPUs
+between their replay threads.
 """
+
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
 
 from repro.engine import cache as cache_module
 from repro.engine import engine as engine_module
 from repro.engine.engine import Engine
+from repro.engine.scheduler import _pool_context, _worker_init
 from repro.engine.telemetry import SOURCE_SIMULATED
 from repro.experiments import table1
 from repro.experiments.common import prefetch_points
+from repro.uarch import batched
 
 
 def _run_table1(jobs: int):
@@ -68,3 +75,21 @@ class TestParallelDeterminism:
         ]
         assert engine.stats.memo_hits == 0
         assert len(engine.stats.points) == len(points)
+
+
+def _replay_budget(_task) -> int:
+    return batched.replay_threads()
+
+
+class TestWorkerThreadBudget:
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_workers_split_the_cpus(self, workers):
+        """Each of N pool workers replays on max(1, cpus // N) threads;
+        the parent keeps one thread per CPU."""
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=_pool_context(),
+            initializer=_worker_init, initargs=(False, workers),
+        ) as pool:
+            budgets = set(pool.map(_replay_budget, range(2 * workers)))
+        assert budgets == {max(1, batched.host_cpus() // workers)}
+        assert batched.replay_threads() == batched.host_cpus()
