@@ -5,148 +5,53 @@ characterises — Blast's seeded heuristic search, Fasta's ktup heuristic
 and exhaustive ssearch, Clustalw's progressive multiple alignment, and
 Hmmer's profile-HMM scoring — plus the shared machinery (alphabets,
 FASTA I/O, substitution matrices, pairwise DP, Karlin–Altschul
-statistics, synthetic workload generation).
+statistics, synthetic workload generation). Names are re-exported
+lazily (:func:`repro.lazy.lazy_exports`), so a module that needs only
+the workload specs does not load numpy.
 """
 
-from repro.bio.alphabet import DNA, PROTEIN, Alphabet, guess_alphabet
-from repro.bio.banded import ExtensionResult, gapped_extension, xdrop_extend
-from repro.bio.blast import (
-    BlastDatabase,
-    BlastHit,
-    BlastParameters,
-    BlastSearch,
-    Hsp,
-    blastn,
-    blastn_parameters,
-    blastp,
-)
-from repro.bio.fasta_io import (
-    format_fasta,
-    parse_fasta,
-    parse_fasta_text,
-    read_fasta,
-    write_fasta,
-)
-from repro.bio.fastatool import FastaHit, SsearchHit, fasta_search, ssearch
-from repro.bio.genefind import (
-    GenePrediction,
-    InterpolatedMarkovModel,
-    Orf,
-    find_orfs,
-    glimmer,
-    reverse_complement,
-)
-from repro.bio.phylo import (
-    ParsimonyResult,
-    fitch_score,
-    parsimony_search,
-    phylip,
-)
-from repro.bio.guidetree import TreeNode, neighbour_joining, upgma
-from repro.bio.hmm import (
-    ProfileHmm,
-    build_hmm,
-    forward_score,
-    viterbi_score,
-)
-from repro.bio.hmmer import HmmHit, hmmpfam, hmmsearch
-from repro.bio.kmer import KmerIndex, neighbourhood, shared_kmer_count
-from repro.bio.msa import (
-    Msa,
-    clustalw,
-    iterative_refine,
-    pairwise_distance_matrix,
-    sum_of_pairs_score,
-)
-from repro.bio.pairwise import (
-    Alignment,
-    needleman_wunsch,
-    needleman_wunsch_score,
-    smith_waterman,
-    smith_waterman_score,
-)
-from repro.bio.scoring import (
-    BLOSUM62,
-    PAM250,
-    GapPenalties,
-    SubstitutionMatrix,
-    dna_matrix,
-)
-from repro.bio.sequence import Sequence
-from repro.bio.statistics import KarlinAltschulParams, karlin_altschul_params
-from repro.bio.treedist import (
-    bipartitions,
-    normalised_robinson_foulds,
-    robinson_foulds,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "DNA",
-    "PROTEIN",
-    "Alphabet",
-    "guess_alphabet",
-    "ExtensionResult",
-    "gapped_extension",
-    "xdrop_extend",
-    "BlastDatabase",
-    "BlastHit",
-    "BlastParameters",
-    "BlastSearch",
-    "Hsp",
-    "blastn",
-    "blastn_parameters",
-    "blastp",
-    "format_fasta",
-    "parse_fasta",
-    "parse_fasta_text",
-    "read_fasta",
-    "write_fasta",
-    "FastaHit",
-    "SsearchHit",
-    "fasta_search",
-    "ssearch",
-    "GenePrediction",
-    "InterpolatedMarkovModel",
-    "Orf",
-    "find_orfs",
-    "glimmer",
-    "reverse_complement",
-    "ParsimonyResult",
-    "fitch_score",
-    "parsimony_search",
-    "phylip",
-    "TreeNode",
-    "neighbour_joining",
-    "upgma",
-    "ProfileHmm",
-    "build_hmm",
-    "forward_score",
-    "viterbi_score",
-    "HmmHit",
-    "hmmpfam",
-    "hmmsearch",
-    "KmerIndex",
-    "neighbourhood",
-    "shared_kmer_count",
-    "Msa",
-    "clustalw",
-    "iterative_refine",
-    "pairwise_distance_matrix",
-    "sum_of_pairs_score",
-    "Alignment",
-    "needleman_wunsch",
-    "needleman_wunsch_score",
-    "smith_waterman",
-    "smith_waterman_score",
-    "BLOSUM62",
-    "PAM250",
-    "GapPenalties",
-    "SubstitutionMatrix",
-    "dna_matrix",
-    "Sequence",
-    "KarlinAltschulParams",
-    "karlin_altschul_params",
-    "bipartitions",
-    "normalised_robinson_foulds",
-    "robinson_foulds",
-]
+_EXPORTS = {
+    ".alphabet": ("DNA", "PROTEIN", "Alphabet", "guess_alphabet"),
+    ".banded": ("ExtensionResult", "gapped_extension", "xdrop_extend"),
+    ".blast": (
+        "BlastDatabase", "BlastHit", "BlastParameters", "BlastSearch",
+        "Hsp", "blastn", "blastn_parameters", "blastp",
+    ),
+    ".fasta_io": (
+        "format_fasta", "parse_fasta", "parse_fasta_text", "read_fasta",
+        "write_fasta",
+    ),
+    ".fastatool": ("FastaHit", "SsearchHit", "fasta_search", "ssearch"),
+    ".genefind": (
+        "GenePrediction", "InterpolatedMarkovModel", "Orf", "find_orfs",
+        "glimmer", "reverse_complement",
+    ),
+    ".phylo": (
+        "ParsimonyResult", "fitch_score", "parsimony_search", "phylip",
+    ),
+    ".guidetree": ("TreeNode", "neighbour_joining", "upgma"),
+    ".hmm": ("ProfileHmm", "build_hmm", "forward_score", "viterbi_score"),
+    ".hmmer": ("HmmHit", "hmmpfam", "hmmsearch"),
+    ".kmer": ("KmerIndex", "neighbourhood", "shared_kmer_count"),
+    ".msa": (
+        "Msa", "clustalw", "iterative_refine", "pairwise_distance_matrix",
+        "sum_of_pairs_score",
+    ),
+    ".pairwise": (
+        "Alignment", "needleman_wunsch", "needleman_wunsch_score",
+        "smith_waterman", "smith_waterman_score",
+    ),
+    ".scoring": (
+        "BLOSUM62", "PAM250", "GapPenalties", "SubstitutionMatrix",
+        "dna_matrix",
+    ),
+    ".sequence": ("Sequence",),
+    ".statistics": ("KarlinAltschulParams", "karlin_altschul_params"),
+    ".treedist": (
+        "bipartitions", "normalised_robinson_foulds", "robinson_foulds",
+    ),
+}
+
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.bio.alphabet import PROTEIN, Alphabet
 from repro.bio.sequence import Sequence
-from repro.bio.statistics import background_frequencies
 from repro.errors import WorkloadError
 
 #: Input-class scale factors, loosely mirroring BioPerf's A/B/C tiers.
@@ -60,6 +59,10 @@ CLASS_C_SPECS = {
 
 def _residue_sampler(alphabet: Alphabet, rng: random.Random):
     """Return a zero-argument callable sampling background residues."""
+    # Imported here: it loads numpy, which the workload specs that the
+    # accelerator lab reads on every run do not need.
+    from repro.bio.statistics import background_frequencies
+
     freqs = background_frequencies(alphabet)
     symbols = [alphabet.symbol(code) for code in range(len(alphabet))]
     weighted = [

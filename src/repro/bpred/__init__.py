@@ -9,54 +9,32 @@ them to kernel source lines (:mod:`repro.bpred.characterize`).
 
 :mod:`repro.bpred.lab` wires these to the repository's workloads and
 the engine's persistent cache; it imports the perf/uarch stack, so it
-is *not* imported here — the CLI (``repro bpred``) and the
-``ext_bpred`` experiment load it on demand.
+is *not* re-exported here — the CLI (``repro bpred``) and the
+``ext_bpred`` experiment load it on demand. The other names are
+re-exported lazily (:func:`repro.lazy.lazy_exports`), except
+``replay``, which is also a submodule name.
 """
 
-from repro.bpred.characterize import (
-    BranchProfile,
-    BranchSite,
-    StreamCharacterisation,
-    attribute_to_program,
-    characterize_stream,
-    outcome_entropy,
-)
-from repro.bpred.predictors import (
-    DirectionPredictor,
-    PerceptronPredictor,
-    StaticPredictor,
-    TournamentPredictor,
-    TwoLevelLocalPredictor,
-    make_predictor,
-    predictor_kinds,
-    register_predictor,
-)
-from repro.bpred.replay import (
-    BranchStream,
-    ReplayResult,
-    branch_stream,
-    replay,
-    replay_many,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BranchProfile",
-    "BranchSite",
-    "StreamCharacterisation",
-    "attribute_to_program",
-    "characterize_stream",
-    "outcome_entropy",
-    "DirectionPredictor",
-    "PerceptronPredictor",
-    "StaticPredictor",
-    "TournamentPredictor",
-    "TwoLevelLocalPredictor",
-    "make_predictor",
-    "predictor_kinds",
-    "register_predictor",
-    "BranchStream",
-    "ReplayResult",
-    "branch_stream",
-    "replay",
-    "replay_many",
-]
+_EXPORTS = {
+    ".characterize": (
+        "BranchProfile", "BranchSite", "StreamCharacterisation",
+        "attribute_to_program", "characterize_stream", "outcome_entropy",
+    ),
+    ".predictors": (
+        "DirectionPredictor", "PerceptronPredictor", "StaticPredictor",
+        "TournamentPredictor", "TwoLevelLocalPredictor", "make_predictor",
+        "predictor_kinds", "register_predictor",
+    ),
+    ".replay": (
+        "BranchStream", "ReplayResult", "branch_stream", "replay",
+        "replay_many",
+    ),
+}
+
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)
+
+# Bound after its submodule is imported, so the function, not the
+# module, is what the package holds under this name.
+from repro.bpred.replay import replay  # noqa: E402

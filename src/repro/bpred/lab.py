@@ -214,21 +214,22 @@ def kernel_program(app: str, variant: str = "baseline") -> Program:
     from repro.kernels.gapped_extend import GappedConfig
     from repro.kernels.smith_waterman import SwConfig
     from repro.kernels.viterbi import ViterbiConfig
-    from repro.perf.characterize import GAPS, _kernel_inputs
+    from repro.perf.characterize import _kernel_inputs, kernel_gaps
 
     alphabet_size = len(BLOSUM62.alphabet)
+    gaps = kernel_gaps()
     if app == "fasta":
         config = SwConfig(
             alphabet_size=alphabet_size,
-            open_cost=GAPS.open_ + GAPS.extend,
-            extend_cost=GAPS.extend,
+            open_cost=gaps.open_ + gaps.extend,
+            extend_cost=gaps.extend,
         )
         return smith_waterman.HARNESS.compiled(variant, config).program
     if app == "clustalw":
         config = FpConfig(
             alphabet_size=alphabet_size,
-            open_cost=GAPS.open_ + GAPS.extend,
-            extend_cost=GAPS.extend,
+            open_cost=gaps.open_ + gaps.extend,
+            extend_cost=gaps.extend,
         )
         return forward_pass.HARNESS.compiled(variant, config).program
     if app == "blast":

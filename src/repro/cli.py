@@ -29,20 +29,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bio.blast import BlastDatabase, blastp
-from repro.bio.fasta_io import read_fasta
-from repro.bio.fastatool import fasta_search, ssearch
-from repro.bio.genefind import find_orfs, glimmer
-from repro.bio.msa import clustalw
-from repro.bio.pairwise import needleman_wunsch, smith_waterman
-from repro.bio.phylo import phylip
-from repro.bio.scoring import BLOSUM62, PAM250, GapPenalties, default_matrix
+# The bio layer (and numpy, which it imports) is imported by the
+# commands that run it, so `repro experiments` on a warm cache loads
+# no more than `python -m repro.experiments` does.
 from repro.errors import ReproError, SweepInterrupted
 from repro.perf.characterize import VARIANTS
 from repro.perf.report import Table, percent
 from repro.uarch.config import power5
-
-_MATRICES = {"blosum62": BLOSUM62, "pam250": PAM250}
 
 
 def _porcelain_row(*fields) -> str:
@@ -59,6 +52,8 @@ def _porcelain_row(*fields) -> str:
 
 
 def _load(path: str, minimum: int = 1):
+    from repro.bio.fasta_io import read_fasta
+
     records = read_fasta(path)
     if len(records) < minimum:
         raise ReproError(
@@ -69,12 +64,17 @@ def _load(path: str, minimum: int = 1):
 
 
 def _matrix_for(args, records):
+    from repro.bio.scoring import BLOSUM62, PAM250, default_matrix
+
     if args.matrix == "auto":
         return default_matrix(records[0].alphabet)
-    return _MATRICES[args.matrix]
+    return {"blosum62": BLOSUM62, "pam250": PAM250}[args.matrix]
 
 
 def cmd_align(args) -> int:
+    from repro.bio.pairwise import needleman_wunsch, smith_waterman
+    from repro.bio.scoring import GapPenalties
+
     records = _load(args.fasta, minimum=2)
     a, b = records[0], records[1]
     matrix = _matrix_for(args, records)
@@ -90,6 +90,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from repro.bio.blast import BlastDatabase, blastp
+    from repro.bio.fastatool import fasta_search, ssearch
+
     query = _load(args.query)[0]
     database = _load(args.database)
     if args.mode == "blast":
@@ -119,6 +122,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_msa(args) -> int:
+    from repro.bio.msa import clustalw
+
     records = _load(args.fasta, minimum=2)
     msa = clustalw(records, tree_method=args.tree)
     print(f"# {len(records)} sequences, {msa.width} columns")
@@ -128,6 +133,8 @@ def cmd_msa(args) -> int:
 
 
 def cmd_phylogeny(args) -> int:
+    from repro.bio.phylo import phylip
+
     records = _load(args.fasta, minimum=3)
     result = phylip(records, max_rounds=args.rounds)
     newick = result.tree.newick()
@@ -140,6 +147,8 @@ def cmd_phylogeny(args) -> int:
 
 
 def cmd_orfs(args) -> int:
+    from repro.bio.genefind import find_orfs, glimmer
+
     genome = _load(args.fasta)[0]
     if args.train:
         training = [record.residues for record in _load(args.train)]

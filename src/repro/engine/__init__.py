@@ -42,38 +42,22 @@ Layers, bottom to top:
     ``cached_artifact`` stores the other numbers experiments render
     from (profiles, branch-lab replays, one-trace simulations) in
     result slots of the same cache.
+
+Names are re-exported lazily (:func:`repro.lazy.lazy_exports`), so
+importing one layer (``repro.engine.cache`` in a benchmark's set-up)
+does not load the others.
 """
 
-from repro.engine.cache import PersistentCache, active_cache, use_cache_dir
-from repro.engine.digest import (
-    CACHE_SCHEMA_VERSION,
-    config_digest,
-    sim_source_digest,
-)
-from repro.engine.engine import Engine, ResumeOutcome, default_engine
-from repro.engine.journal import RunJournal, list_runs, load_run, prune_runs
-from repro.engine.scheduler import resolve_jobs
-from repro.engine.telemetry import EngineStats, PointFailure, PointRecord
-from repro.errors import SweepError, SweepInterrupted
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA_VERSION",
-    "Engine",
-    "EngineStats",
-    "PersistentCache",
-    "PointFailure",
-    "PointRecord",
-    "ResumeOutcome",
-    "RunJournal",
-    "SweepError",
-    "SweepInterrupted",
-    "active_cache",
-    "config_digest",
-    "default_engine",
-    "list_runs",
-    "load_run",
-    "prune_runs",
-    "resolve_jobs",
-    "sim_source_digest",
-    "use_cache_dir",
-]
+_EXPORTS = {
+    ".cache": ("PersistentCache", "active_cache", "use_cache_dir"),
+    ".digest": ("CACHE_SCHEMA_VERSION", "config_digest", "sim_source_digest"),
+    ".engine": ("Engine", "ResumeOutcome", "default_engine"),
+    ".journal": ("RunJournal", "list_runs", "load_run", "prune_runs"),
+    ".scheduler": ("resolve_jobs",),
+    ".telemetry": ("EngineStats", "PointFailure", "PointRecord"),
+    "repro.errors": ("SweepError", "SweepInterrupted"),
+}
+
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

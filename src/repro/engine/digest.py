@@ -56,6 +56,16 @@ SHORT_DIGEST = 12
 
 _source_digest_cache: str | None = None
 
+#: Config digests already computed, keyed by ``(type, repr)``. Not by
+#: the config itself: dataclass equality and hashing treat
+#: ``taken_branch_penalty=2`` and ``2.0`` (or ``True`` and ``1``) as
+#: one key, while their canonical JSON, and so their digests, differ.
+_config_digests: dict[tuple[type, str], str] = {}
+
+#: Entries kept before the memo starts over, so a long-lived process
+#: digesting ever-new configs holds bounded memory.
+_CONFIG_DIGESTS_MAX = 4096
+
 
 def config_digest(config: CoreConfig) -> str:
     """Canonical digest of a configuration dataclass.
@@ -63,15 +73,24 @@ def config_digest(config: CoreConfig) -> str:
     The payload embeds the dataclass type name, so a
     :class:`~repro.accel.config.AccelConfig` digest can never collide
     with a :class:`CoreConfig` digest, even for equal field values.
+    Memoised per process: a sweep digests the same few configs hundreds
+    of times, and each ``asdict`` deep copy costs tens of microseconds.
     """
     if not is_dataclass(config):
         raise TypeError(f"expected a config dataclass, got {type(config)!r}")
-    payload = json.dumps(
-        {"type": type(config).__name__, "config": asdict(config)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    key = (type(config), repr(config))
+    digest = _config_digests.get(key)
+    if digest is None:
+        payload = json.dumps(
+            {"type": type(config).__name__, "config": asdict(config)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        if len(_config_digests) >= _CONFIG_DIGESTS_MAX:
+            _config_digests.clear()
+        _config_digests[key] = digest
+    return digest
 
 
 def _iter_source_files() -> list[Path]:

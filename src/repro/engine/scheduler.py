@@ -62,15 +62,12 @@ back by key (never by completion order).
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
 import threading
 import time
 import traceback as traceback_module
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 
 from repro.errors import SweepError, SweepInterrupted, WorkloadError
 from repro.uarch.config import CoreConfig
@@ -200,6 +197,8 @@ def group_by_trace(keys) -> dict:
 def _pool_context():
     """Prefer fork: a forked worker starts without re-importing the
     program; spawn where fork is unavailable."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -488,6 +487,11 @@ def _run_pool(engine, policy: _Policy, workers: int, worker,
     already-journaled completion is durable, so only the in-flight
     window is lost.
     """
+    # Imported here, like multiprocessing in _pool_context: only a pool
+    # run needs them, and a serial or fully cached run never loads them.
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     from repro.engine.telemetry import (
         FAILURE_CRASH,
         FAILURE_EXCEPTION,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.experiments.common import ExperimentResult, cached_characterize
+from repro.perf.apps import optimizer_counts
 from repro.perf.report import Table, percent, signed_percent
 from repro.uarch.config import BtacConfig, PredictorSpec, power5
 
@@ -169,43 +170,17 @@ def optimizer_effect() -> Table:
     IR; a real gcc would fold/propagate/DCE first. This ablation
     measures how much that matters: static instruction counts of
     ``if_convert(baseline)`` vs ``if_convert(optimize(baseline))`` and
-    whether the extra passes unlock more conversions.
+    whether the extra passes unlock more conversions
+    (:func:`repro.perf.apps.optimizer_counts`, a cached artifact).
     """
-    from repro.bio.scoring import BLOSUM62
-    from repro.compiler.codegen import compile_function
-    from repro.compiler.ifconversion import if_convert
-    from repro.compiler.optimize import optimize
-    from repro.kernels import (
-        forward_pass, gapped_extend, smith_waterman, viterbi,
-    )
-
-    size = len(BLOSUM62.alphabet)
-    kernels = {
-        "blast": (gapped_extend,
-                  gapped_extend.GappedConfig(size, 12, 1, 12, 30)),
-        "clustalw": (forward_pass, forward_pass.FpConfig(size, 12, 2)),
-        "fasta": (smith_waterman, smith_waterman.SwConfig(size, 12, 2)),
-        "hmmer": (viterbi, viterbi.ViterbiConfig(24, size)),
-    }
     table = Table(
         "Ablation - scalar optimisation before if-conversion "
         "(static counts)",
         ["Kernel", "comp_isel instrs", "+optimize instrs",
          "sites converted", "sites (+opt)"],
     )
-    for app, (module, config) in kernels.items():
-        baseline = module.build("baseline", config)
-        plain = if_convert(baseline, "isel")
-        optimised = if_convert(optimize(baseline), "isel")
-        plain_len = len(compile_function(plain.function).program)
-        optimised_len = len(compile_function(optimised.function).program)
-        table.add_row(
-            app,
-            plain_len,
-            optimised_len,
-            sum(1 for d in plain.decisions if d.converted),
-            sum(1 for d in optimised.decisions if d.converted),
-        )
+    for app in ("blast", "clustalw", "fasta", "hmmer"):
+        table.add_row(app, *optimizer_counts(app))
     return table
 
 

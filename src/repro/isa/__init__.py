@@ -2,44 +2,25 @@
 
 Provides the instruction set, a program builder and text assembler, a
 word-addressed memory, a functional interpreter, and dynamic-trace
-records consumed by :mod:`repro.uarch`.
+records consumed by :mod:`repro.uarch`. Names are re-exported lazily
+(:func:`repro.lazy.lazy_exports`): reading a stored trace does not load
+the interpreter.
 """
 
-from repro.isa.assembler import assemble
-from repro.isa.instructions import Instruction, Op, Unit, validate
-from repro.isa.interpreter import Machine, run_program
-from repro.isa.memory import Memory
-from repro.isa.program import Program, ProgramBuilder
-from repro.isa.registers import CR_EQ, CR_GT, CR_LT, RegisterFile
-from repro.isa.tracestore import load_trace_columnar, save_trace_v3
-from repro.isa.trace import (
-    Trace,
-    TraceEvent,
-    TraceStats,
-    opcode_histogram,
-    trace_statistics,
-)
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "assemble",
-    "Instruction",
-    "Op",
-    "Unit",
-    "validate",
-    "Machine",
-    "run_program",
-    "Memory",
-    "Program",
-    "ProgramBuilder",
-    "CR_EQ",
-    "CR_GT",
-    "CR_LT",
-    "RegisterFile",
-    "load_trace_columnar",
-    "save_trace_v3",
-    "Trace",
-    "TraceEvent",
-    "TraceStats",
-    "opcode_histogram",
-    "trace_statistics",
-]
+_EXPORTS = {
+    ".assembler": ("assemble",),
+    ".instructions": ("Instruction", "Op", "Unit", "validate"),
+    ".interpreter": ("Machine", "run_program"),
+    ".memory": ("Memory",),
+    ".program": ("Program", "ProgramBuilder"),
+    ".registers": ("CR_EQ", "CR_GT", "CR_LT", "RegisterFile"),
+    ".tracestore": ("load_trace_columnar", "save_trace_v3"),
+    ".trace": (
+        "Trace", "TraceEvent", "TraceStats", "opcode_histogram",
+        "trace_statistics",
+    ),
+}
+
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

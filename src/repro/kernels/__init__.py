@@ -38,12 +38,9 @@ KERNELS_BY_APP = {
     "hmmer": viterbi,
 }
 
-def listing_for(app: str, variant: str = "baseline") -> str:
-    """Assembly listing of one application's kernel in one variant.
-
-    Uses a representative compile-time configuration per application
-    (the same shapes the characterisation harness uses).
-    """
+def representative_config(app: str):
+    """A representative compile-time configuration of one application's
+    kernel (the same shapes the characterisation harness uses)."""
     from repro.bio.scoring import BLOSUM62
     from repro.errors import WorkloadError
 
@@ -55,13 +52,19 @@ def listing_for(app: str, variant: str = "baseline") -> str:
         "hmmer": viterbi.ViterbiConfig(24, size),
         "phylip": parsimony.ParsimonyConfig(),
     }
-    modules = dict(KERNELS_BY_APP, phylip=parsimony)
-    if app not in modules:
+    if app not in configs:
         raise WorkloadError(
-            f"unknown app {app!r}; have {sorted(modules)}"
+            f"unknown app {app!r}; have {sorted(configs)}"
         )
-    harness = modules[app].HARNESS
-    return harness.compiled(variant, configs[app]).program.listing()
+    return configs[app]
+
+
+def listing_for(app: str, variant: str = "baseline") -> str:
+    """Assembly listing of one application's kernel in one variant,
+    under :func:`representative_config`."""
+    config = representative_config(app)
+    harness = dict(KERNELS_BY_APP, phylip=parsimony)[app].HARNESS
+    return harness.compiled(variant, config).program.listing()
 
 
 #: The hot function name per application (paper Figure 1).

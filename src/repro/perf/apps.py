@@ -11,53 +11,35 @@ dominating each application.
 
 The extension workloads live here too: Phylip's parsimony problem
 (:func:`phylip_workload`, simulated per code variant by
-:func:`parsimony_results`) and parallel ssearch workers sharing one
+:func:`parsimony_results`), parallel ssearch workers sharing one
 database (:func:`parallel_ssearch_traces`, whose LLC study is
-:func:`llc_sharing_study`).
+:func:`llc_sharing_study`) and the optimizer ablation's static counts
+(:func:`optimizer_counts`).
 
-:func:`profile_app`, :func:`parsimony_results` and
-:func:`llc_sharing_study` are cached artifacts
-(:func:`repro.engine.engine.cached_numbers`): this module is part of
-the simulation source digest, so editing it re-addresses them.
+:func:`profile_app`, :func:`parsimony_results`,
+:func:`llc_sharing_study` and :func:`optimizer_counts` are cached
+artifacts (:func:`repro.engine.engine.cached_numbers`): this module is
+part of the simulation source digest, so editing it re-addresses them.
+The bio layer, numpy, the interpreter, the kernels and the compiler are
+imported by the functions that compute, so a run that reads these
+artifacts from the cache loads none of them.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-import numpy as np
-
-from repro.bio.alphabet import PROTEIN
-from repro.bio.blast import BlastDatabase, blastp
-from repro.bio.fastatool import ssearch
-from repro.bio.guidetree import upgma
-from repro.bio.hmm import build_hmm
-from repro.bio.hmmer import hmmpfam
-from repro.bio.msa import clustalw, pairwise_distance_matrix
-from repro.bio.phylo import fitch_score
-from repro.bio.scoring import BLOSUM62
-from repro.bio.sequence import Sequence
-from repro.bio.workloads import (
-    blast_input,
-    clustalw_input,
-    fasta_input,
-    hmmer_input,
-    make_family,
-    mutate,
-)
 from repro.errors import SimulationError, WorkloadError
-from repro.isa.interpreter import run_program
-from repro.isa.memory import Memory
 from repro.isa.trace import Trace
-from repro.kernels import parsimony, smith_waterman
-from repro.kernels.runtime import KERNEL_NEG_INF
-from repro.perf.characterize import GAPS
 from repro.perf.profiler import ProfileReport, Profiler
 from repro.uarch.config import CoreConfig
 from repro.uarch.core import SimResult, simulate_trace
 from repro.uarch.llc import LlcConfig, SharingStudy, sharing_study
+
+if TYPE_CHECKING:
+    from repro.bio.sequence import Sequence
 
 #: The applications, in the paper's order.
 APPS = ("blast", "clustalw", "fasta", "hmmer")
@@ -87,8 +69,27 @@ class AppRunResult:
     work_units: int  # hits / aligned sequences / models scored
 
 
+def _load_apps() -> None:
+    """Bind the four applications ``execute_*`` run as globals here.
+
+    Every ``prepare_*`` calls this first. Figure 1 counts the lines
+    ``execute_*`` runs, so an import there would enter its profile; an
+    import at module level would load the bio layer, and numpy, into
+    every run that reads Figure 1 from the cache.
+    """
+    global blastp, clustalw, hmmpfam, ssearch
+    from repro.bio import blast, fastatool, hmmer, msa
+
+    blastp, clustalw = blast.blastp, msa.clustalw
+    hmmpfam, ssearch = hmmer.hmmpfam, fastatool.ssearch
+
+
 def prepare_blast(input_class: str = "A", seed: int = 7):
     """Query + indexed database (index building is setup, like formatdb)."""
+    from repro.bio.blast import BlastDatabase
+    from repro.bio.workloads import blast_input
+
+    _load_apps()
     data = blast_input(input_class, seed=seed)
     return data.query, BlastDatabase(data.database)
 
@@ -100,6 +101,9 @@ def execute_blast(prepared) -> AppRunResult:
 
 
 def prepare_clustalw(input_class: str = "A", seed: int = 11):
+    from repro.bio.workloads import clustalw_input
+
+    _load_apps()
     return clustalw_input(input_class, seed=seed).sequences
 
 
@@ -109,6 +113,9 @@ def execute_clustalw(prepared) -> AppRunResult:
 
 
 def prepare_fasta(input_class: str = "A", seed: int = 13):
+    from repro.bio.workloads import fasta_input
+
+    _load_apps()
     data = fasta_input(input_class, seed=seed)
     return data.query, data.database
 
@@ -121,6 +128,11 @@ def execute_fasta(prepared) -> AppRunResult:
 
 def prepare_hmmer(input_class: str = "A", seed: int = 17):
     """Build the model database (Pfam models are prebuilt in reality)."""
+    from repro.bio.alphabet import PROTEIN
+    from repro.bio.hmm import build_hmm
+    from repro.bio.workloads import hmmer_input
+
+    _load_apps()
     data = hmmer_input(input_class, seed=seed)
     models = []
     for family in data.families:
@@ -175,6 +187,12 @@ def profile_app(app: str, input_class: str = "A") -> ProfileReport:
 
 def phylip_workload():
     """A parsimony workload: aligned family, its guide tree, alphabet."""
+    import numpy as np
+
+    from repro.bio.guidetree import upgma
+    from repro.bio.msa import clustalw, pairwise_distance_matrix
+    from repro.bio.workloads import make_family
+
     family = make_family("phylip", 10, 60, 0.3, seed=71)
     msa = clustalw(family)
     tree = upgma(
@@ -198,6 +216,9 @@ def parsimony_results(
     from repro.engine.serialize import result_from_dict, result_to_dict
 
     def compute() -> dict[str, SimResult]:
+        from repro.bio.phylo import fitch_score
+        from repro.kernels import parsimony
+
         tree, rows, symbols = phylip_workload()
         reference = fitch_score(tree, rows, symbols)
         results = {}
@@ -238,12 +259,20 @@ def worker_trace(
     their addresses are identical for every worker; a worker-specific
     pad displaces the private query and DP rows.
     """
+    from repro.bio.scoring import BLOSUM62
+    from repro.isa.interpreter import run_program
+    from repro.isa.memory import Memory
+    from repro.kernels import smith_waterman
+    from repro.kernels.runtime import KERNEL_NEG_INF
+    from repro.perf.characterize import kernel_gaps
+
     if not subjects:
         raise WorkloadError("need database subjects")
+    gaps = kernel_gaps()
     config = smith_waterman.SwConfig(
         alphabet_size=len(BLOSUM62.alphabet),
-        open_cost=GAPS.open_ + GAPS.extend,
-        extend_cost=GAPS.extend,
+        open_cost=gaps.open_ + gaps.extend,
+        extend_cost=gaps.extend,
     )
     kernel = smith_waterman.HARNESS.compiled("baseline", config)
     max_n = max(len(s) for s in subjects)
@@ -290,6 +319,9 @@ def parallel_ssearch_traces(
     seed: int = 83,
 ) -> list[Trace]:
     """Traces for ``workers`` ssearch workers over one shared database."""
+    from repro.bio.sequence import Sequence
+    from repro.bio.workloads import make_family, mutate
+
     family = make_family(
         "db", subjects_count, subject_length, 0.3, seed=seed
     )
@@ -319,3 +351,43 @@ def llc_sharing_study(workers: int, config: LlcConfig) -> SharingStudy:
         SharingStudy.to_payload, SharingStudy.from_payload,
         workers=workers, config=config_digest(config),
     )
+
+
+def optimizer_counts(app: str) -> tuple[int, int, int, int]:
+    """Static counts behind the optimizer ablation for ``app``'s kernel.
+
+    The kernel's baseline IR is if-converted to ``isel`` as authored and
+    after the scalar optimizer: ``(instructions, instructions with
+    optimize, sites converted, sites converted with optimize)``, under
+    :func:`repro.kernels.representative_config`. A cached artifact,
+    decoded only as four non-negative integers.
+    """
+    from repro.engine.engine import cached_numbers
+
+    def compute() -> tuple[int, int, int, int]:
+        from repro.compiler.codegen import compile_function
+        from repro.compiler.ifconversion import if_convert
+        from repro.compiler.optimize import optimize
+        from repro.kernels import KERNELS_BY_APP, representative_config
+
+        baseline = KERNELS_BY_APP[app].build(
+            "baseline", representative_config(app)
+        )
+        plain = if_convert(baseline, "isel")
+        optimised = if_convert(optimize(baseline), "isel")
+        return (
+            len(compile_function(plain.function).program),
+            len(compile_function(optimised.function).program),
+            sum(1 for d in plain.decisions if d.converted),
+            sum(1 for d in optimised.decisions if d.converted),
+        )
+
+    def decode(payload) -> tuple[int, int, int, int]:
+        counts = tuple(payload)
+        if len(counts) != 4 or not all(
+            type(n) is int and n >= 0 for n in counts
+        ):
+            raise ValueError(f"not four non-negative integers: {payload!r}")
+        return counts
+
+    return cached_numbers(app, "~optimizer", compute, list, decode)

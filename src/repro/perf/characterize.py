@@ -37,16 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bio.hmm import build_hmm
-from repro.bio.msa import clustalw
-from repro.bio.scoring import BLOSUM62, GapPenalties
-from repro.bio.workloads import make_family, mutate, random_sequence
 from repro.errors import WorkloadError
 from repro.isa.trace import Trace
-from repro.kernels import forward_pass, gapped_extend, smith_waterman, viterbi
 from repro.uarch.config import CoreConfig, power5
 from repro.uarch.core import Core, SimResult, simulate_trace
-from repro.uarch.sampling import merge_results
 from repro.uarch.synthetic import (
     MixProfile, generate_trace, generate_trace_segments,
 )
@@ -134,14 +128,27 @@ APP_WORKLOADS = {
     ),
 }
 
-GAPS = GapPenalties(10, 2)
-
 _kernel_trace_cache: dict[tuple[str, str], Trace] = {}
 _background_cache: dict[str, Trace] = {}
 
 
+def kernel_gaps():
+    """The gap penalties of the fasta and clustalw kernel traces."""
+    from repro.bio.scoring import GapPenalties
+
+    return GapPenalties(10, 2)
+
+
 def _kernel_inputs(app: str):
     """Representative kernel inputs per application (deterministic)."""
+    # The bio layer is imported where inputs are built, not at module
+    # level: a run that reads every result from the cache never loads
+    # it (or numpy, which it imports).
+    from repro.bio.hmm import build_hmm
+    from repro.bio.msa import clustalw
+    from repro.bio.sequence import Sequence
+    from repro.bio.workloads import make_family, mutate, random_sequence
+
     if app == "fasta":
         # Fasta's input is the longest of the four (§III).
         family = make_family("fa", 2, 84, 0.3, seed=31)
@@ -153,8 +160,6 @@ def _kernel_inputs(app: str):
         # A gapped extension sees a conserved core flanked by divergent
         # sequence: share a motif, randomise the rest. The X-drop prune
         # then fires value-dependently, exactly as in real extensions.
-        from repro.bio.sequence import Sequence
-
         motif = random_sequence("motif", 28, seed=36)
         left_a = random_sequence("la", 30, seed=37)
         right_a = random_sequence("ra", 34, seed=38)
@@ -224,13 +229,20 @@ def kernel_cell_count(app: str) -> int:
 
 def _generate_kernel_trace(app: str, variant: str) -> Trace:
     """Interpret the app's kernel and collect its dynamic trace."""
+    from repro.bio.scoring import BLOSUM62, GapPenalties
+    from repro.kernels import (
+        forward_pass, gapped_extend, smith_waterman, viterbi,
+    )
+
     trace = Trace()
     if app == "fasta":
         a, b = _kernel_inputs(app)
-        smith_waterman.run(variant, a, b, BLOSUM62, GAPS, trace=trace)
+        smith_waterman.run(variant, a, b, BLOSUM62, kernel_gaps(),
+                           trace=trace)
     elif app == "clustalw":
         a, b = _kernel_inputs(app)
-        forward_pass.run(variant, a, b, BLOSUM62, GAPS, trace=trace)
+        forward_pass.run(variant, a, b, BLOSUM62, kernel_gaps(),
+                         trace=trace)
     elif app == "blast":
         a, b = _kernel_inputs(app)
         gapped_extend.run(
@@ -576,6 +588,7 @@ def characterize(
     config = config or power5()
     baseline_instructions = _kernel_length(app) + _background_length(app)
     from repro.perf.stream import pipelined, resolve_stream
+    from repro.uarch.sampling import merge_results
 
     if resolve_stream(stream):
         kernel_result = Core(config).simulate_stream(
@@ -639,6 +652,7 @@ def characterize_batched(
     call made (``native``).
     """
     from repro.uarch.batched import simulate_batched, simulate_batched_stream
+    from repro.uarch.sampling import merge_results
 
     if app not in APP_WORKLOADS:
         raise WorkloadError(

@@ -3,60 +3,31 @@
 Configuration (:mod:`repro.uarch.config`), branch-direction prediction,
 the paper's 8-entry BTAC, an L1D model, the trace-driven core
 (:mod:`repro.uarch.core`), SMARTS-style sampling, PMU-style counter
-groups, and a synthetic background-trace generator.
+groups, and a synthetic background-trace generator. Names are
+re-exported lazily (:func:`repro.lazy.lazy_exports`):
+``from repro.uarch import power5`` loads only the configuration.
 """
 
-from repro.uarch.branch_predictor import BimodalPredictor, GsharePredictor
-from repro.uarch.btac import Btac, BtacEntry, BtacStats
-from repro.uarch.cache import CacheStats, L1DCache
-from repro.uarch.config import (
-    BtacConfig,
-    CacheConfig,
-    CoreConfig,
-    PredictorConfig,
-    PredictorSpec,
-    power5,
-)
-from repro.uarch.core import Core, IntervalRecord, SimResult, simulate_trace
-from repro.uarch.llc import LlcConfig, LlcResult, SharingStudy, sharing_study, simulate_llc
-from repro.uarch.counters import (
-    CounterGroup,
-    counter_groups,
-    derived_metrics,
-    read_group,
-)
-from repro.uarch.sampling import SamplingPlan, simulate_sampled
-from repro.uarch.synthetic import MixProfile, generate_trace
+from repro.lazy import lazy_exports
 
-__all__ = [
-    "BimodalPredictor",
-    "GsharePredictor",
-    "Btac",
-    "BtacEntry",
-    "BtacStats",
-    "CacheStats",
-    "L1DCache",
-    "BtacConfig",
-    "CacheConfig",
-    "CoreConfig",
-    "PredictorConfig",
-    "PredictorSpec",
-    "power5",
-    "Core",
-    "IntervalRecord",
-    "LlcConfig",
-    "LlcResult",
-    "SharingStudy",
-    "sharing_study",
-    "simulate_llc",
-    "SimResult",
-    "simulate_trace",
-    "CounterGroup",
-    "counter_groups",
-    "derived_metrics",
-    "read_group",
-    "SamplingPlan",
-    "simulate_sampled",
-    "MixProfile",
-    "generate_trace",
-]
+_EXPORTS = {
+    ".branch_predictor": ("BimodalPredictor", "GsharePredictor"),
+    ".btac": ("Btac", "BtacEntry", "BtacStats"),
+    ".cache": ("CacheStats", "L1DCache"),
+    ".config": (
+        "BtacConfig", "CacheConfig", "CoreConfig", "PredictorConfig",
+        "PredictorSpec", "power5",
+    ),
+    ".core": ("Core", "IntervalRecord", "SimResult", "simulate_trace"),
+    ".llc": (
+        "LlcConfig", "LlcResult", "SharingStudy", "sharing_study",
+        "simulate_llc",
+    ),
+    ".counters": (
+        "CounterGroup", "counter_groups", "derived_metrics", "read_group",
+    ),
+    ".sampling": ("SamplingPlan", "simulate_sampled"),
+    ".synthetic": ("MixProfile", "generate_trace"),
+}
+
+__all__, __getattr__ = lazy_exports(__name__, _EXPORTS)

@@ -56,10 +56,10 @@ equivalents, used only where the kernel cannot give the identical
 answer or cannot run: predictor kinds other than gshare (the walk; the
 replay stays native), a segment with an event whose byte address would
 overflow int64 (the walk moves to Python, state and all, from that
-segment on), geometry that does not fit int64, a config with more units
-than an int32 lane counts or whose lanes still overflow (the replay of
-that config), ``REPRO_NATIVE=off``, and hosts with no C compiler (both
-halves).
+segment on), geometry that does not fit int64, a config with a timing
+parameter beyond what an int32 lane counts or whose lanes still
+overflow (the replay of that config), ``REPRO_NATIVE=off``, and hosts
+with no C compiler (both halves).
 
 Every frontend group, one config or many, runs the shared pass and
 the replay; ``simulate_trace`` and the engine's point-at-a-time path
@@ -1193,8 +1193,10 @@ def _ptr(array: np.ndarray) -> int:
     return array.ctypes.data
 
 
-#: Unit counts above this take the Python replay: the kernel's usage
-#: lanes are int32.
+#: A config with a packed parameter above this takes the Python replay:
+#: the kernel's usage lanes are int32, and the bound keeps the other
+#: parameters (penalties, latencies, the window) inside its int64 rows
+#: and cycle arithmetic.
 _LANE_MAX = 2**31 - 1
 
 #: Threads one replay call may use; None means one per CPU the process
@@ -1289,7 +1291,7 @@ def _run_native(
     An item whose usage lane would overflow retries at four times the
     lane capacity. Returns per-item cycles, stall rows, interval
     commits and ``done`` flags; an item not done (still overflowing,
-    a unit count beyond the int32 lanes, or an occupancy beyond the
+    a packed parameter beyond ``_LANE_MAX``, or an occupancy beyond the
     kernel's margin) needs the Python replay.
     """
     n = meta.n
@@ -1307,14 +1309,14 @@ def _run_native(
     within_margin = int(table[:, 4].max()) < 96  # the kernel's MARGIN
     todo = np.array(
         [k for k, row in enumerate(rows)
-         if within_margin and max(row[6:9]) <= _LANE_MAX],
+         if within_margin and max(row) <= _LANE_MAX],
         dtype=np.int64,
     )
     params = np.zeros((n_items, _PARAM_STRIDE), dtype=np.int64)
     for k in todo.tolist():
         params[k] = rows[k]
     pointers = np.array([_ptr(stream) for stream in streams], dtype=np.uintp)
-    ring_bytes = 8 * max(row[3] for row in rows)
+    ring_bytes = 8 * max((rows[k][3] for k in todo.tolist()), default=0)
 
     def replay(todo: np.ndarray, cursor: np.ndarray, cap: int) -> None:
         with _scratch(ring_bytes + 12 * cap) as base:

@@ -1,7 +1,7 @@
 """Cached artifacts: the numbers fig1, fig2, ext_phylip, ext_cmp_llc,
-the interleaving ablation and ext_accel's kernel extents come from are
-stored once and read back, never recomputed; an entry that cannot be
-trusted is quarantined and recomputed."""
+the interleaving and optimizer ablations and ext_accel's kernel extents
+come from are stored once and read back, never recomputed; an entry
+that cannot be trusted is quarantined and recomputed."""
 
 import ast
 import importlib
@@ -25,6 +25,7 @@ RENDERS = {
     "ext_phylip": (lambda: ext_phylip.run().render(), 1),
     "ext_cmp_llc": (lambda: ext_cmp_llc.run(workers=2).render(), 1),
     "interleaving": (lambda: ablations.interleaving().render(), 4),
+    "optimizer": (lambda: ablations.optimizer_effect().render(), 4),
 }
 
 HELPERS = ("cached_artifact", "cached_numbers")
@@ -46,6 +47,7 @@ def counters() -> dict:
 
 def forbid_recomputation(monkeypatch) -> None:
     """Make every step that produces an artifact's numbers raise."""
+    from repro.compiler import codegen, ifconversion
     from repro.isa import interpreter, tracestore
     from repro.perf import profiler
     from repro.uarch import batched, llc
@@ -62,6 +64,8 @@ def forbid_recomputation(monkeypatch) -> None:
     monkeypatch.setattr(batched, "simulate_batched_stream", recomputed)
     monkeypatch.setattr(llc, "simulate_llc", recomputed)
     monkeypatch.setattr(profiler.Profiler, "run", recomputed)
+    monkeypatch.setattr(ifconversion, "if_convert", recomputed)
+    monkeypatch.setattr(codegen, "compile_function", recomputed)
 
 
 class TestWarmRerun:
@@ -164,6 +168,25 @@ class TestKernelDimensions:
         assert perf.kernel_dimensions("blast") == expected
         assert fresh_cache.counters.quarantined == 1
         assert counters()["artifact.computed"] == 2
+
+
+@pytest.mark.parametrize("value", [
+    [], [1, 2, 3], [1, 2, 3, 4, 5], [1, 2, 3, -4], [1, 2, 3, 4.0],
+    [1, 2, 3, True], "1234", None,
+], ids=repr)
+def test_optimizer_counts_are_four_non_negative_integers(fresh_cache, value):
+    from repro.perf.apps import optimizer_counts
+
+    expected = optimizer_counts("fasta")
+    (path,) = (fresh_cache.version_root / "results" / "fasta").glob(
+        "~optimizer-*.json"
+    )
+    payload = json.loads(path.read_text())
+    payload["value"] = value
+    path.write_text(json.dumps(payload))
+    assert optimizer_counts("fasta") == expected
+    assert fresh_cache.counters.quarantined == 1
+    assert counters()["artifact.computed"] == 2
 
 
 def test_fig1_key_follows_the_python_minor_version(monkeypatch):

@@ -189,3 +189,23 @@ class TestLaneOverflow:
             result_to_dict(result)
             for result in batched.simulate_batched(trace, configs).results
         ]
+
+    def test_penalty_beyond_int64_replays_in_python(
+        self, replay, python_rows, monkeypatch
+    ):
+        """A taken-branch penalty of 2**63 does not fit the kernel's
+        int64 parameter row: that config takes the Python replay, whose
+        integers do not overflow, instead of failing the call."""
+        trace = generate_trace(2_000, MixProfile(), seed=1)
+        configs = [
+            replace(power5(), taken_branch_penalty=2**63), power5(),
+            power5().with_fxus(4),
+        ]
+        native = replay(trace, configs, threads=2)
+        assert python_rows == [batched._config_params(configs[0])]
+        assert native[0]["cycles"] == 1531079758117892787168
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        assert native == [
+            result_to_dict(result)
+            for result in batched.simulate_batched(trace, configs).results
+        ]
