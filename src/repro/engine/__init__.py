@@ -23,8 +23,9 @@ Layers, bottom to top:
     named engine counters, renderable as tables or a machine-readable
     JSON summary.
 ``journal``
-    Durable run journal: every journaled ``fan_out`` appends fsync'd
-    JSONL records under ``<cache_dir>/runs/``, torn-tail tolerant on
+    Durable run journal: every journaled ``fan_out`` appends JSONL
+    records under ``<cache_dir>/runs/``, one fsync per append (a unit's
+    completions share one), torn-tail tolerant on
     read, so an interrupted sweep is resumable (``repro resume``) with
     byte-identical merged results. See ``docs/resume.md``.
 ``scheduler``

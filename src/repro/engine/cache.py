@@ -43,7 +43,9 @@ from pathlib import Path
 from repro.engine.digest import (
     CACHE_SCHEMA_VERSION,
     SHORT_DIGEST,
+    canonical_json,
     sim_source_digest,
+    text_digest,
 )
 from repro.errors import ReproError
 from repro.isa.trace import Trace, TraceEvent
@@ -259,14 +261,18 @@ class PersistentCache:
 
     def store_result_payload(
         self, app: str, variant: str, config_digest: str, payload: dict
-    ) -> None:
+    ) -> str | None:
+        """Persist one result in its canonical JSON text; returns that
+        text's digest (:func:`~repro.engine.digest.result_payload_digest`
+        of ``payload``), or None when persistence is off."""
         if not self.enabled:
-            return
+            return None
         path = self.result_path(app, variant, config_digest)
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = canonical_json(payload)
         self._atomic_write(
             path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8")
         )
+        return text_digest(text)
 
     def evict_result(self, app: str, variant: str, config_digest: str) -> None:
         """Drop one result entry (deep corruption found by the engine)."""

@@ -56,15 +56,35 @@ SHORT_DIGEST = 12
 
 _source_digest_cache: str | None = None
 
-#: Config digests already computed, keyed by ``(type, repr)``. Not by
-#: the config itself: dataclass equality and hashing treat
+#: Each config's canonical forms already computed, its ``asdict``
+#: payload and its digest, keyed by ``(type, repr)``. Not by the config
+#: itself: dataclass equality and hashing treat
 #: ``taken_branch_penalty=2`` and ``2.0`` (or ``True`` and ``1``) as
 #: one key, while their canonical JSON, and so their digests, differ.
-_config_digests: dict[tuple[type, str], str] = {}
+_config_forms: dict[tuple[type, str], tuple[dict, str]] = {}
 
 #: Entries kept before the memo starts over, so a long-lived process
 #: digesting ever-new configs holds bounded memory.
-_CONFIG_DIGESTS_MAX = 4096
+_CONFIG_FORMS_MAX = 4096
+
+
+def _config_form(config) -> tuple[dict, str]:
+    """``(payload, digest)`` of a configuration dataclass, memoised per
+    process: a sweep digests and journals the same few configs hundreds
+    of times, and each ``asdict`` deep copy costs tens of microseconds."""
+    if not is_dataclass(config):
+        raise TypeError(f"expected a config dataclass, got {type(config)!r}")
+    key = (type(config), repr(config))
+    form = _config_forms.get(key)
+    if form is None:
+        payload = asdict(config)
+        text = canonical_json({"type": type(config).__name__,
+                               "config": payload})
+        form = (payload, text_digest(text))
+        if len(_config_forms) >= _CONFIG_FORMS_MAX:
+            _config_forms.clear()
+        _config_forms[key] = form
+    return form
 
 
 def config_digest(config: CoreConfig) -> str:
@@ -73,24 +93,15 @@ def config_digest(config: CoreConfig) -> str:
     The payload embeds the dataclass type name, so a
     :class:`~repro.accel.config.AccelConfig` digest can never collide
     with a :class:`CoreConfig` digest, even for equal field values.
-    Memoised per process: a sweep digests the same few configs hundreds
-    of times, and each ``asdict`` deep copy costs tens of microseconds.
     """
-    if not is_dataclass(config):
-        raise TypeError(f"expected a config dataclass, got {type(config)!r}")
-    key = (type(config), repr(config))
-    digest = _config_digests.get(key)
-    if digest is None:
-        payload = json.dumps(
-            {"type": type(config).__name__, "config": asdict(config)},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-        if len(_config_digests) >= _CONFIG_DIGESTS_MAX:
-            _config_digests.clear()
-        _config_digests[key] = digest
-    return digest
+    return _config_form(config)[1]
+
+
+def config_payload(config) -> dict:
+    """A config's nested-dict form (``asdict``), the one its digest
+    covers and a run journal's header records. Shared by every caller
+    asking for an equal config: never mutate it."""
+    return _config_form(config)[0]
 
 
 def _iter_source_files() -> list[Path]:
@@ -127,6 +138,18 @@ def point_key(app: str, variant: str, config: CoreConfig) -> tuple[str, str, str
     return (app, variant, config_digest(config))
 
 
+def canonical_json(payload: dict) -> str:
+    """The one text form of a payload: sorted keys, no whitespace. The
+    persistent cache stores results in it and digests are taken over
+    it."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def text_digest(text: str) -> str:
+    """SHA-256 hex digest of ``text``'s UTF-8 bytes."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def result_payload_digest(payload: dict) -> str:
     """Digest of a serialized result payload (journal re-verification).
 
@@ -134,8 +157,7 @@ def result_payload_digest(payload: dict) -> str:
     stores, so "the cached entry still matches what the journal saw"
     is an exact byte-level statement.
     """
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(payload))
 
 
 def artifact_key(**params) -> str:

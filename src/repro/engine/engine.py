@@ -55,7 +55,7 @@ from repro.engine.digest import (
     result_payload_digest,
     sim_source_digest,
 )
-from repro.engine.scheduler import fan_out
+from repro.engine.scheduler import _result_digest, fan_out
 from repro.engine.telemetry import (
     SOURCE_DISK,
     SOURCE_JOURNAL,
@@ -93,6 +93,10 @@ class Engine:
         # Telemetry reports the live cache counters, not a copy.
         self.stats.cache = self.cache.counters
         self._memo: dict[tuple[str, str, str], AppCharacterisation] = {}
+        #: Each memoised point's canonical payload digest, taken from
+        #: the payload it was stored as or loaded from (None when
+        #: persistence is off and nothing was serialised).
+        self._digests: dict[tuple[str, str, str], str | None] = {}
         #: ``(app, config) -> (background SimResult, batched)``: the
         #: background is the same for every code variant of an app.
         self._backgrounds: dict = {}
@@ -147,9 +151,9 @@ class Engine:
             loaded = self._load(key, config)
             if loaded is not None:
                 self._serve(
-                    key, loaded, time.perf_counter() - started, SOURCE_DISK
+                    key, *loaded, time.perf_counter() - started, SOURCE_DISK
                 )
-                results[index] = loaded
+                results[index] = loaded[0]
             elif isinstance(config, AccelConfig):
                 accel.append(index)
             else:
@@ -165,11 +169,11 @@ class Engine:
             wall = (time.perf_counter() - started) / len(pending)
             for index, result in zip(pending, computed):
                 key = keys[index]
-                self.cache.store_result_payload(
+                digest = self.cache.store_result_payload(
                     app, _slot(variant, configs[index]), key[2],
                     serialize.characterisation_to_dict(result),
                 )
-                self._serve(key, result, wall, SOURCE_SIMULATED)
+                self._serve(key, result, digest, wall, SOURCE_SIMULATED)
                 results[index] = result
         return results
 
@@ -193,7 +197,8 @@ class Engine:
         return results
 
     def _load(self, key, config, recorded: str | None = None):
-        """One point's persisted result, or ``None`` (miss or evicted).
+        """One point's persisted ``(result, payload digest)``, or
+        ``None`` (miss or evicted).
 
         The one strict loader of the memo -> disk step and of resume.
         The slot follows the config's type, and the entry must decode
@@ -207,9 +212,9 @@ class Engine:
         payload = self.cache.load_result_payload(app, slot, digest)
         if payload is None:
             return None
+        payload_digest = result_payload_digest(payload)
         try:
-            if (recorded is not None
-                    and result_payload_digest(payload) != recorded):
+            if recorded is not None and payload_digest != recorded:
                 raise ValueError("entry diverged from the journal")
             result = serialize.characterisation_from_dict(payload)
             accel = isinstance(config, AccelConfig)
@@ -221,12 +226,14 @@ class Engine:
         except (KeyError, TypeError, ValueError, SimulationError):
             self.cache.evict_result(app, slot, digest)
             return None
-        return result
+        return result, payload_digest
 
-    def _serve(self, key, result, wall: float, source: str) -> None:
+    def _serve(self, key, result, payload_digest: str | None,
+               wall: float, source: str) -> None:
         """Memoise one served point and record where it came from."""
         app, variant, digest = key
         self._memo[key] = result
+        self._digests[key] = payload_digest
         if isinstance(result, AccelEstimate):
             self._note_accel(result)
         self.stats.record(PointRecord(
@@ -368,11 +375,11 @@ class Engine:
                 started = time.perf_counter()
                 # An entry that diverged from what the journal saw is
                 # quarantined, and the point re-runs.
-                result = self._load(key, config, recorded)
-                if result is None:
+                loaded = self._load(key, config, recorded)
+                if loaded is None:
                     continue
                 self._serve(
-                    key, result, time.perf_counter() - started,
+                    key, *loaded, time.perf_counter() - started,
                     SOURCE_JOURNAL,
                 )
                 replayed += 1
@@ -399,15 +406,27 @@ class Engine:
         variant: str,
         config: CoreConfig,
         result: AppCharacterisation,
+        payload_digest: str | None = None,
     ) -> None:
-        """Memoise a worker-computed result.
+        """Memoise a worker-computed result and its payload digest.
 
         The worker persisted the entry to the shared cache directory
         already (when persistence is on), and the scheduler merges its
         telemetry once per unit; adopting keeps the parent's memo
         coherent without a second disk round-trip.
         """
-        self._memo[point_key(app, variant, config)] = result
+        key = point_key(app, variant, config)
+        self._memo[key] = result
+        self._digests[key] = payload_digest
+
+    def result_digest(self, key: tuple[str, str, str]) -> str:
+        """The canonical payload digest of memoised point ``key``, the
+        one its ``point_done`` journal record carries: recorded when the
+        point was served, serialised again only if none was."""
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = _result_digest(self._memo[key])
+        return digest
 
     def memoised_results(self) -> list[AppCharacterisation]:
         """Every characterisation this engine currently holds in memory.
@@ -432,6 +451,7 @@ class Engine:
         simulates its background again; with ``persistent=True`` also
         the disk cache."""
         self._memo.clear()
+        self._digests.clear()
         self._backgrounds.clear()
         removed = 0
         if persistent:

@@ -21,11 +21,13 @@ in-flight window and leaves a complete record of what ran:
   the same dict under ``batch.``, ``stream.`` and ``accel.`` names;
 * a ``run_complete`` footer once the sweep has drained.
 
-Records are written one JSON object per line, flushed and fsync'd
-individually, so the journal on disk is always a prefix of the logical
-record stream. Reads are **torn-tail tolerant**: a final line truncated
-mid-record (the signature of a crash during append) is ignored rather
-than raised, and every fully-written record before it is preserved —
+Records are written one JSON object per line. Each append writes its
+records (one, or all of a unit's ``point_done`` records together),
+then flushes and fsyncs once, so the journal on disk is always a
+prefix of the logical record stream. Reads are **torn-tail
+tolerant**: a final line truncated mid-record (the signature of a
+crash during append) is ignored rather than raised, and every
+fully-written record before it is preserved —
 a resume therefore never double-runs a journaled point and never drops
 a completed one. A malformed line *before* the tail marks the journal
 corrupt (something other than an append crash damaged it), which
@@ -68,8 +70,13 @@ import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.engine.digest import config_digest, sim_source_digest, sweep_digest
-from repro.engine.serialize import config_from_dict, config_to_dict
+from repro.engine.digest import (
+    config_digest,
+    config_payload,
+    sim_source_digest,
+    sweep_digest,
+)
+from repro.engine.serialize import config_from_dict
 from repro.errors import WorkloadError
 
 #: Journal record schema. Bump on incompatible record-shape changes;
@@ -149,9 +156,10 @@ class RunJournal:
 
     Use :meth:`create` for a fresh sweep (writes the header) or
     :meth:`reopen` to continue an interrupted one (appends a
-    ``run_resumed`` marker). Every ``record_*`` call appends one line,
-    flushes, and fsyncs before returning, so a record the caller saw
-    acknowledged survives any later crash.
+    ``run_resumed`` marker). Every ``record_*`` call appends its lines
+    (:meth:`record_points_done` one per point), then flushes and fsyncs
+    once before returning, so a record the caller saw acknowledged
+    survives any later crash.
     """
 
     def __init__(self, path: Path, run_id: str, handle) -> None:
@@ -199,7 +207,7 @@ class RunJournal:
                 {
                     "app": app,
                     "variant": variant,
-                    "config": config_to_dict(config),
+                    "config": config_payload(config),
                     "config_digest": config_digest(config),
                 }
                 for app, variant, config in points
@@ -240,11 +248,20 @@ class RunJournal:
     def record_point_done(
         self, key: tuple[str, str, str], result_digest: str
     ) -> None:
-        self._append({
-            "record": RECORD_DONE,
-            **_key_fields(key),
-            "result_digest": result_digest,
-        })
+        self.record_points_done([(key, result_digest)])
+
+    def record_points_done(self, done) -> None:
+        """One ``point_done`` record per ``(key, result_digest)`` of
+        ``done``, written and fsync'd together: a unit's points are
+        durable at once, for one fsync."""
+        self._append(*(
+            {
+                "record": RECORD_DONE,
+                **_key_fields(key),
+                "result_digest": result_digest,
+            }
+            for key, result_digest in done
+        ))
 
     def record_point_failed(
         self, key: tuple[str, str, str], kind: str, error_type: str,
@@ -360,12 +377,19 @@ class RunJournal:
 
     # -- internals ---------------------------------------------------------
 
-    def _append(self, payload: dict) -> None:
-        line = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    def _append(self, *payloads: dict) -> None:
+        """Write ``payloads`` one per line, then flush and fsync once."""
+        data = b"".join(
+            json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            .encode("utf-8") + b"\n"
+            for payload in payloads
+        )
         if self._handle is None:
             raise WorkloadError(f"journal for run {self.run_id!r} is closed")
+        if not data:
+            return
         with self._lock:
-            self._handle.write(line.encode("utf-8") + b"\n")
+            self._handle.write(data)
             self._handle.flush()
             os.fsync(self._handle.fileno())
 

@@ -241,11 +241,17 @@ def _characterize_worker(task):
     """
     app, variant, configs, cache_root = task
     from repro.engine.cache import use_cache_dir
+    from repro.engine.digest import point_key
     from repro.engine.engine import Engine
 
     use_cache_dir(cache_root)
     engine = Engine()
-    return engine.characterize_batch(app, variant, configs), engine.stats
+    results = engine.characterize_batch(app, variant, configs)
+    digests = [
+        engine._digests.get(point_key(app, variant, config))
+        for config in configs
+    ]
+    return results, digests, engine.stats
 
 
 class _Unit:
@@ -385,16 +391,20 @@ def _shutdown_pool(pool, kill: bool = False) -> None:
 
 
 def _result_digest(result) -> str:
-    """Digest of a point's canonical result payload (for the journal)."""
+    """Digest of a point's canonical result payload, serialised anew."""
     from repro.engine import serialize
     from repro.engine.digest import result_payload_digest
 
     return result_payload_digest(serialize.characterisation_to_dict(result))
 
 
-def _journal_done(journal, key, result) -> None:
+def _journal_done(journal, engine, keys) -> None:
+    """Journal ``keys``, memoised in ``engine``, as done: one append
+    for all of them, each with the digest recorded when it was served."""
     if journal is not None:
-        journal.record_point_done(key, _result_digest(result))
+        journal.record_points_done(
+            (key, engine.result_digest(key)) for key in keys
+        )
 
 
 def _journal_failed(journal, key, failure) -> None:
@@ -411,17 +421,18 @@ class _Policy:
     far and the journal the outcomes go to.
     """
 
-    def __init__(self, units, retries: int, backoff: float,
+    def __init__(self, engine, units, retries: int, backoff: float,
                  journal=None) -> None:
+        self.engine = engine
         self.queue: deque = deque(units)
         self.failures: dict = {}
         self.retries = retries
         self.backoff = backoff
         self.journal = journal
 
-    def done(self, unit: _Unit, results) -> None:
-        for key, result in zip(unit.keys, results):
-            _journal_done(self.journal, key, result)
+    def done(self, unit: _Unit) -> None:
+        """Journal a unit whose points the engine has memoised."""
+        _journal_done(self.journal, self.engine, unit.keys)
 
     def failed(self, unit: _Unit, kind: str, error_type: str,
                message: str, tb: str) -> list[_Unit]:
@@ -464,16 +475,14 @@ def _run_serial(engine, policy: _Policy, watch=None) -> None:
         unit = queue.popleft()
         unit.attempts += 1
         try:
-            results = engine.characterize_batch(
-                unit.app, unit.variant, unit.configs
-            )
+            engine.characterize_batch(unit.app, unit.variant, unit.configs)
         except Exception as exc:
             policy.failed(
                 unit, FAILURE_EXCEPTION, type(exc).__name__, str(exc),
                 traceback_module.format_exc(),
             )
         else:
-            policy.done(unit, results)
+            policy.done(unit)
 
 
 def _run_pool(engine, policy: _Policy, workers: int, worker,
@@ -617,7 +626,7 @@ def _run_pool(engine, policy: _Policy, workers: int, worker,
             for future in done:
                 unit, _ = in_flight.pop(future)
                 try:
-                    results, stats = future.result()
+                    results, digests, stats = future.result()
                 except BrokenProcessPool as exc:
                     crashed.append((unit, exc))
                 except Exception as exc:
@@ -629,10 +638,14 @@ def _run_pool(engine, policy: _Policy, workers: int, worker,
                     )
                 else:
                     engine.stats.merge(stats)
-                    for config, result in zip(unit.configs, results):
-                        engine.adopt(unit.app, unit.variant, config, result)
+                    for config, result, digest in zip(
+                        unit.configs, results, digests
+                    ):
+                        engine.adopt(
+                            unit.app, unit.variant, config, result, digest
+                        )
                     suspects.discard(unit)
-                    policy.done(unit, results)
+                    policy.done(unit)
 
             if crashed:
                 if len(crashed) == 1 and not in_flight:
@@ -756,11 +769,9 @@ def fan_out(
         )
         # Memo-served points are durable immediately: their results
         # exist, so a resume must never re-run them.
-        for key in dict.fromkeys(keys):
-            if key in engine._memo:
-                journal_obj.record_point_done(
-                    key, _result_digest(engine._memo[key])
-                )
+        _journal_done(journal_obj, engine, [
+            key for key in dict.fromkeys(keys) if key in engine._memo
+        ])
 
     serial_notes: list[str] = []
     failures: dict = {}
@@ -770,7 +781,9 @@ def fan_out(
     try:
         if pending:
             units = _units(pending, batch)
-            policy = _Policy(units, retries, backoff, journal=journal_obj)
+            policy = _Policy(
+                engine, units, retries, backoff, journal=journal_obj
+            )
             with _InterruptWatch() if journal_obj is not None \
                     else _NullWatch() as watch:
                 if jobs == 1 or len(units) == 1:

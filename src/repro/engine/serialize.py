@@ -1,6 +1,6 @@
 """Lossless JSON round-tripping of simulation results.
 
-Every numeric field in :class:`~repro.uarch.core.SimResult` is an
+Every numeric field in :class:`~repro.uarch.result.SimResult` is an
 integer, so the JSON round trip is exact: a result loaded from the
 persistent cache renders byte-identically to one just simulated. The
 schema is strict — unknown/missing fields raise, which the cache layer
@@ -15,7 +15,7 @@ from repro.perf.characterize import AppCharacterisation
 from repro.uarch.btac import BtacStats
 from repro.uarch.cache import CacheStats
 from repro.uarch.config import BtacConfig, CacheConfig, CoreConfig, PredictorSpec
-from repro.uarch.core import IntervalRecord, SimResult
+from repro.uarch.result import IntervalRecord, SimResult
 
 _SIM_INT_FIELDS = (
     "instructions", "cycles", "branches", "conditional_branches",

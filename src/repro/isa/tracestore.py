@@ -94,6 +94,15 @@ def _read_column(
     return column, offset + size
 
 
+def _ids_below(sid: array, statics: int) -> bool:
+    """Whether every static id lies in ``[0, statics)``, at C speed: as
+    unsigned 32-bit values a negative id is out of range too. Decode
+    runs only where traces are simulated, which loads numpy anyway."""
+    import numpy as np
+
+    return not len(sid) or int(np.frombuffer(sid, np.uint32).max()) < statics
+
+
 def _parse_statics(data: bytes, statics: int, path) -> StaticTable:
     """The static table of ``statics`` serialised records, strictly."""
     static = StaticTable()
@@ -357,7 +366,7 @@ class SegmentedTraceReader:
                 f"{self.path}: trailing bytes in v3 segment"
             )
         view.pc, view.sid, view.flags, view.next_pc, view.address = columns
-        if max(view.sid) >= self._statics:
+        if not _ids_below(view.sid, self._statics):
             raise InterpreterError(
                 f"{self.path}: v3 static id out of range"
             )

@@ -35,8 +35,8 @@ from repro.errors import SimulationError, WorkloadError
 from repro.isa.trace import Trace
 from repro.perf.profiler import ProfileReport, Profiler
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import SimResult, simulate_trace
 from repro.uarch.llc import LlcConfig, SharingStudy, sharing_study
+from repro.uarch.result import SimResult
 
 if TYPE_CHECKING:
     from repro.bio.sequence import Sequence
@@ -218,6 +218,7 @@ def parsimony_results(
     def compute() -> dict[str, SimResult]:
         from repro.bio.phylo import fitch_score
         from repro.kernels import parsimony
+        from repro.uarch.core import simulate_trace
 
         tree, rows, symbols = phylip_workload()
         reference = fitch_score(tree, rows, symbols)

@@ -27,7 +27,7 @@ artifacts (:func:`repro.engine.engine.cached_numbers`), keyed by their
 parameters under the simulation source digest this module is part of.
 
 ``characterize(app, variant, config)`` returns a merged
-:class:`~repro.uarch.core.SimResult`; ``work_cycles`` is the metric to
+:class:`~repro.uarch.result.SimResult`; ``work_cycles`` is the metric to
 compare across variants (same work, fewer cycles = faster), and
 ``work_ipc`` normalises it to the paper's IPC presentation by dividing
 the *baseline* instruction count by the variant's cycles.
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from repro.errors import WorkloadError
 from repro.isa.trace import Trace
 from repro.uarch.config import CoreConfig, power5
-from repro.uarch.core import Core, SimResult, simulate_trace
+from repro.uarch.result import SimResult
 from repro.uarch.synthetic import (
     MixProfile, generate_trace, generate_trace_segments,
 )
@@ -487,10 +487,14 @@ def phased_result(interval_size: int, config: CoreConfig) -> SimResult:
     """Figure 2's run: :func:`phased_trace` under ``config``, with an
     interval record every ``interval_size`` instructions. A cached
     artifact."""
+
+    def compute() -> SimResult:
+        from repro.uarch.core import simulate_trace
+
+        return simulate_trace(phased_trace(), config, interval_size)
+
     return _cached_result(
-        "clustalw", "~phased",
-        lambda: simulate_trace(phased_trace(), config, interval_size),
-        config, interval_size=interval_size,
+        "clustalw", "~phased", compute, config, interval_size=interval_size,
     )
 
 
@@ -499,11 +503,13 @@ def interleaved_result(app: str, variant: str,
     """:func:`composite_trace` simulated as one stream under ``config``,
     so kernel and background interfere in the predictor, BTAC and L1D
     (the interleaving ablation). A cached artifact."""
-    return _cached_result(
-        app, f"{variant}~interleaved",
-        lambda: simulate_trace(composite_trace(app, variant), config),
-        config,
-    )
+
+    def compute() -> SimResult:
+        from repro.uarch.core import simulate_trace
+
+        return simulate_trace(composite_trace(app, variant), config)
+
+    return _cached_result(app, f"{variant}~interleaved", compute, config)
 
 
 @dataclass
@@ -588,6 +594,7 @@ def characterize(
     config = config or power5()
     baseline_instructions = _kernel_length(app) + _background_length(app)
     from repro.perf.stream import pipelined, resolve_stream
+    from repro.uarch.core import Core
     from repro.uarch.sampling import merge_results
 
     if resolve_stream(stream):

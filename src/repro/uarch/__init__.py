@@ -18,7 +18,7 @@ _EXPORTS = {
         "BtacConfig", "CacheConfig", "CoreConfig", "PredictorConfig",
         "PredictorSpec", "power5",
     ),
-    ".core": ("Core", "IntervalRecord", "SimResult", "simulate_trace"),
+    ".core": ("Core", "simulate_trace"),
     ".llc": (
         "LlcConfig", "LlcResult", "SharingStudy", "sharing_study",
         "simulate_llc",
@@ -26,6 +26,7 @@ _EXPORTS = {
     ".counters": (
         "CounterGroup", "counter_groups", "derived_metrics", "read_group",
     ),
+    ".result": ("IntervalRecord", "SimResult"),
     ".sampling": ("SamplingPlan", "simulate_sampled"),
     ".synthetic": ("MixProfile", "generate_trace"),
 }

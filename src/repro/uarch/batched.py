@@ -38,11 +38,14 @@ them (:mod:`ctypes` releases the GIL around the kernel). CPUs are those
 of the process's affinity mask; a pool worker takes its share
 (:func:`set_replay_threads`). A one-item call starts no thread, and no
 thread outlives the call. Each thread replays its items one at a time,
-from fresh state, in its own bounded scratch: three int32 usage lanes
-in an anonymous mapping that is unmapped when the call returns, and a
-``window``-slot ring for the commit-window tail. An item whose lanes
-overflow retries at four times the capacity, then replays in Python;
-the other items are unaffected.
+from fresh state, in its own scratch, sized by the configs and never
+by the trace: a ``window``-slot ring for the commit-window tail and
+three int32 usage lanes, each a ring of ``_RING_CELLS`` cycles. No op
+issues before the dispatch cycle of its event, which never decreases,
+so lane cells below it are dead and are recycled as it advances. An
+item whose ops book further ahead of dispatch than the ring holds
+retries with a ring four times larger, then replays in Python; the
+other items are unaffected.
 
 That is where the speedup comes from: the frontend costs a few
 nanoseconds per event instead of a Python-level walk, and the replay
@@ -88,14 +91,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-import mmap
 import os
 import secrets
 import shutil
 import subprocess
 import tempfile
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,14 +110,8 @@ from repro.uarch.branch_predictor import GsharePredictor
 from repro.uarch.btac import Btac, BtacEntry, BtacStats
 from repro.uarch.cache import WORD_BYTES, CacheStats, L1DCache
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import (
-    _LIMITERS,
-    Core,
-    IntervalRecord,
-    SimResult,
-    columnar_supported,
-)
 from repro.uarch.guards import check_sim_result
+from repro.uarch.result import _LIMITERS, IntervalRecord, SimResult
 
 _FXU = UNIT_INDEX[Unit.FXU]
 _NONE = UNIT_INDEX[Unit.NONE]
@@ -207,6 +202,18 @@ class BatchOutcome:
 # --------------------------------------------------------------------
 # Static-table meta, shared by every frontend group of one trace.
 # --------------------------------------------------------------------
+
+
+def columnar_supported(static) -> bool:
+    """Whether the packed per-event meta encoding covers ``static``.
+
+    The replay (and the scalar core's columnar loop, built on the same
+    encoding) pads every source tuple to exactly three slots; the
+    mini-ISA never reads more than three GPRs, but a hand-built static
+    table could, and such tables must take the object-path golden
+    reference instead.
+    """
+    return all(len(srcs) <= 3 for srcs in static.srcs)
 
 
 @dataclass
@@ -929,37 +936,43 @@ int repro_frontend_walk(
     return 0;
 }
 
-/* Safety margin between any touched usage-lane index and the lane
- * capacity; larger than any static occupancy the ISA emits. */
-#define MARGIN 128
-
 /* Replay one config over one action stream, from fresh state. Event
  * i's static facts are row sid[i] of `rows`: s1, s2, s3, unit,
- * occupancy, latency, dst (8 int64 slots). A usage-lane cell counts
- * the ops a unit issues in one cycle, never more than the unit count,
- * so the lanes are int32. `ring` is the commit-window tail: slot wi
- * holds the commit cycle of the event `window` places back (0 before
- * the first `window` events). Returns 0, or 1 when a usage lane would
- * overflow; either way max_used[] bounds the lane cells written. */
+ * occupancy, latency, dst (8 int64 slots). `ring` is the commit-window
+ * tail: slot wi holds the commit cycle of the event `window` places
+ * back (0 before the first `window` events).
+ *
+ * A usage-lane cell counts the ops a unit issues in one cycle, never
+ * more than the unit count, so the lanes are int32. Each lane is a
+ * ring of `cells` (a power of two) indexed by cycle & (cells - 1). No
+ * op of event i or later issues before event i's dispatch cycle, and
+ * that cycle never decreases (penalties are >= 0, a flush restarts
+ * after the flushing op completes, commits never go back), so the
+ * cells below it are dead: they are zeroed as it advances, and every
+ * index read or written is first checked against [dispatch, dispatch
+ * + cells), where the ring holds each cycle's count exactly. Returns
+ * 0, or 1 when an index would leave that window. */
 static int replay_one(
     int64_t n_events, const int *sid, const int64_t *rows,
     const uint8_t *action, const int64_t *p,
     int64_t interval_size, int64_t n_intervals,
     int64_t *cycles_out, int64_t *stall_out, int64_t *interval_out,
-    int64_t *ring, int32_t *const usage[3], int64_t usage_cap,
-    int64_t max_used[3])
+    int64_t *ring, int32_t *const usage[3], int64_t cells)
 {
     const int64_t fetch_width = p[0], commit_width = p[1];
     const int64_t depth = p[2], window = p[3];
     const int64_t taken_penalty = p[4], wrong_penalty = p[5];
     const int64_t caps[3] = {p[6], p[7], p[8]};
     const int64_t hit_latency = p[9], miss_latency = p[10];
+    const int64_t mask = cells - 1;
     int64_t reg_ready[34];
     memset(reg_ready, 0, sizeof reg_ready);
-    int64_t floors[3] = {0, 0, 0};
     memset(ring, 0, (size_t)window * sizeof(int64_t));
+    for (int u = 0; u < 3; u++)
+        memset(usage[u], 0, (size_t)cells * sizeof(int32_t));
     int64_t wi = 0;
     int64_t dispatch_base = depth;
+    int64_t live = 0;  /* cells of cycles below this are zeroed */
     int64_t fetched = 0, last_commit = 0, committed = 0;
     int64_t stall[6] = {0, 0, 0, 0, 0, 0};
     int64_t next_boundary =
@@ -971,6 +984,17 @@ static int replay_one(
         fetched += 1;
         int64_t dispatch = dispatch_base;
         if (ring[wi] > dispatch) dispatch = ring[wi];
+        if (dispatch > live) {
+            /* Recycle the dead cells, at most one turn of the ring. */
+            int64_t c = dispatch - live > cells ? dispatch - cells : live;
+            for (; c < dispatch; c++) {
+                usage[0][c & mask] = 0;
+                usage[1][c & mask] = 0;
+                usage[2][c & mask] = 0;
+            }
+            live = dispatch;
+        }
+        const int64_t limit = dispatch + cells;
         int64_t ready = reg_ready[row[0]];
         if (reg_ready[row[1]] > ready) ready = reg_ready[row[1]];
         if (reg_ready[row[2]] > ready) ready = reg_ready[row[2]];
@@ -982,44 +1006,33 @@ static int replay_one(
         if (u == 3) {
             issue = wait_dep;
         } else {
-            if (wait_dep >= usage_cap - MARGIN) return 1;
             int32_t *us = usage[u];
             const int64_t cap = caps[u];
-            int64_t floor_ = floors[u];
-            int64_t cycle = wait_dep > floor_ ? wait_dep : floor_;
             const int64_t o = row[4];
+            int64_t cycle = wait_dep;
             if (o == 1) {
-                int64_t count = us[cycle];
-                while (count >= cap) { cycle += 1; count = us[cycle]; }
-                if (cycle >= usage_cap - MARGIN) return 1;
-                count += 1;
-                us[cycle] = (int32_t)count;
-                if (cycle > max_used[u]) max_used[u] = cycle;
-                if (cycle > wait_dep) limiter = u + 2;
-                issue = cycle;
-                if (count >= cap && cycle == floor_) {
-                    floor_ += 1;
-                    while (us[floor_] >= cap) floor_ += 1;
-                    floors[u] = floor_;
-                }
-            } else {
-                /* Non-pipelined op: unit free for the whole
-                 * occupancy; the floor stays read-only here. */
+                /* The first cycle from wait_dep with a free slot. */
                 for (;;) {
+                    if (cycle >= limit) return 1;
+                    if (us[cycle & mask] < cap) break;
+                    cycle += 1;
+                }
+                us[cycle & mask] += 1;
+            } else {
+                /* Non-pipelined op: the first cycle from wait_dep
+                 * with the unit free for the whole occupancy. */
+                for (;;) {
+                    if (o > limit - cycle) return 1;
                     int64_t k = 0;
                     for (; k < o; k++)
-                        if (us[cycle + k] >= cap) break;
+                        if (us[(cycle + k) & mask] >= cap) break;
                     if (k == o) break;
                     cycle += 1;
-                    if (cycle + o >= usage_cap - MARGIN) return 1;
                 }
-                if (cycle + o >= usage_cap - MARGIN) return 1;
-                for (int64_t k = 0; k < o; k++) us[cycle + k] += 1;
-                if (cycle + o - 1 > max_used[u])
-                    max_used[u] = cycle + o - 1;
-                if (cycle > wait_dep) limiter = u + 2;
-                issue = cycle;
+                for (int64_t k = 0; k < o; k++) us[(cycle + k) & mask] += 1;
             }
+            if (cycle > wait_dep) limiter = u + 2;
+            issue = cycle;
         }
         const int a = action[i];
         int64_t latency = row[5];
@@ -1068,36 +1081,28 @@ static int replay_one(
  * the entries of `order` through the shared `cursor`, so several
  * threads may run it at once over one item set, each with its own
  * scratch: `ring` (as many int64 slots as the largest window) and
- * three int32 usage lanes of `usage_cap` cells, zeroed on entry and
- * left zeroed. An item writes only its own rows of cycles_out,
- * stall_out (6 slots) and interval_out (n_intervals slots), and sets
- * status[c] to 0, or to 1 when a usage lane would overflow (the caller
- * retries it with a larger cap or replays it in Python). */
+ * three int32 usage lanes of `cells` cells each. An item writes only
+ * its own rows of cycles_out, stall_out (6 slots) and interval_out
+ * (n_intervals slots), and sets status[c] to 0, or to 1 when its lanes
+ * would need more than `cells` cycles of look-ahead (the caller
+ * retries it with a larger ring or replays it in Python). */
 void repro_replay_batch(
     int64_t n_events, const int *sid, const int64_t *rows,
     const uint8_t *const *actions, const int64_t *params,
     int64_t interval_size, int64_t n_intervals,
     const int64_t *order, int64_t n_order, int64_t *cursor,
     int64_t *cycles_out, int64_t *stall_out, int64_t *interval_out,
-    int64_t *status, int64_t *ring, int32_t *usage_buf, int64_t usage_cap)
+    int64_t *status, int64_t *ring, int32_t *lanes, int64_t cells)
 {
-    int32_t *const usage[3] = {
-        usage_buf, usage_buf + usage_cap, usage_buf + 2 * usage_cap,
-    };
+    int32_t *const usage[3] = {lanes, lanes + cells, lanes + 2 * cells};
     for (;;) {
         const int64_t k = __atomic_fetch_add(cursor, 1, __ATOMIC_RELAXED);
         if (k >= n_order) return;
         const int64_t c = order[k];
-        int64_t max_used[3] = {-1, -1, -1};
         status[c] = replay_one(
             n_events, sid, rows, actions[c], params + 12 * c,
             interval_size, n_intervals, cycles_out + c, stall_out + 6 * c,
-            interval_out + c * n_intervals, ring, usage, usage_cap,
-            max_used);
-        for (int u = 0; u < 3; u++)
-            if (max_used[u] >= 0)
-                memset(usage[u], 0,
-                       (size_t)(max_used[u] + 1) * sizeof(int32_t));
+            interval_out + c * n_intervals, ring, usage, cells);
     }
 }
 """
@@ -1226,29 +1231,22 @@ def replay_threads() -> int:
     return _thread_budget or host_cpus()
 
 
-def _lane_cap(n: int) -> int:
-    """Initial usage-lane capacity, in cycles, of an n-event replay."""
-    return 8 * n + 4096
+#: Usage-lane ring cells per replay thread on the first attempt: a
+#: power of two, 48 KB for the three int32 lanes. A lane must hold
+#: the cycles between an event's dispatch and the last cycle the ops
+#: in flight book, which the window's dependence chains set: every
+#: config the experiments and the benchmark sweep replay fits in 512,
+#: and a chain of 24 dependent loads missing for 160 cycles still fits.
+#: An item that needs more retries with four times the ring, then
+#: replays in Python.
+_RING_CELLS = 4096
 
 
-@contextmanager
-def _scratch(nbytes: int):
-    """The address of ``nbytes`` of zeroed scratch, unmapped on exit.
-
-    An anonymous mapping rather than a heap buffer: pages the replay
-    never touches are never resident, and the ones it touches go back
-    to the OS when the call returns. A large heap buffer stays mapped
-    only until glibc's dynamic mmap threshold rises past its size;
-    after that it reuses freed heap memory, which calloc zeroes in full
-    and free keeps resident.
-    """
-    region = mmap.mmap(-1, nbytes)
-    view = ctypes.c_char.from_buffer(region)
-    try:
-        yield ctypes.addressof(view)
-    finally:
-        del view
-        region.close()
+def _scratch(window: int, cells: int) -> tuple[np.ndarray, np.ndarray]:
+    """One replay thread's scratch: the commit-window ring (``window``
+    int64 slots) and three int32 usage lanes of ``cells`` cells. Its
+    size depends on the configs only, never on the trace's length."""
+    return np.empty(window, dtype=np.int64), np.empty(3 * cells, np.int32)
 
 
 def _in_threads(count: int, task, *args) -> None:
@@ -1288,11 +1286,11 @@ def _run_native(
     The items go out through one shared cursor to
     ``min(items, replay_threads())`` threads, the calling thread among
     them, each with its own scratch, so uneven configs balance out.
-    An item whose usage lane would overflow retries at four times the
-    lane capacity. Returns per-item cycles, stall rows, interval
-    commits and ``done`` flags; an item not done (still overflowing,
-    a packed parameter beyond ``_LANE_MAX``, or an occupancy beyond the
-    kernel's margin) needs the Python replay.
+    An item whose usage lanes would overflow their ring retries with a
+    ring four times larger. Returns per-item cycles, stall rows,
+    interval commits and ``done`` flags; an item not done (still
+    overflowing, or a packed parameter beyond ``_LANE_MAX``) needs the
+    Python replay.
     """
     n = meta.n
     sid = np.ascontiguousarray(meta.sid, dtype=np.intc)
@@ -1306,37 +1304,35 @@ def _run_native(
     cycles = np.zeros(n_items, dtype=np.int64)
     stalls = np.zeros((n_items, 6), dtype=np.int64)
     iv = np.zeros((n_items, max(1, n_intervals)), dtype=np.int64)
-    within_margin = int(table[:, 4].max()) < 96  # the kernel's MARGIN
     todo = np.array(
-        [k for k, row in enumerate(rows)
-         if within_margin and max(row) <= _LANE_MAX],
+        [k for k, row in enumerate(rows) if max(row) <= _LANE_MAX],
         dtype=np.int64,
     )
     params = np.zeros((n_items, _PARAM_STRIDE), dtype=np.int64)
     for k in todo.tolist():
         params[k] = rows[k]
     pointers = np.array([_ptr(stream) for stream in streams], dtype=np.uintp)
-    ring_bytes = 8 * max((rows[k][3] for k in todo.tolist()), default=0)
+    window = max((rows[k][3] for k in todo.tolist()), default=0)
 
-    def replay(todo: np.ndarray, cursor: np.ndarray, cap: int) -> None:
-        with _scratch(ring_bytes + 12 * cap) as base:
-            lib.repro_replay_batch(
-                n, _ptr(sid), _ptr(table), _ptr(pointers), _ptr(params),
-                interval_size, n_intervals, _ptr(todo), len(todo),
-                _ptr(cursor), _ptr(cycles), _ptr(stalls), _ptr(iv),
-                _ptr(status), base, base + ring_bytes, cap,
-            )
+    def replay(todo: np.ndarray, cursor: np.ndarray, cells: int) -> None:
+        ring, lanes = _scratch(window, cells)
+        lib.repro_replay_batch(
+            n, _ptr(sid), _ptr(table), _ptr(pointers), _ptr(params),
+            interval_size, n_intervals, _ptr(todo), len(todo),
+            _ptr(cursor), _ptr(cycles), _ptr(stalls), _ptr(iv),
+            _ptr(status), _ptr(ring), _ptr(lanes), cells,
+        )
 
-    cap = _lane_cap(n)
+    cells = _RING_CELLS
     for _attempt in range(2):
         if not len(todo):
             break
         cursor = np.zeros(1, dtype=np.int64)
         _in_threads(
-            min(len(todo), replay_threads()), replay, todo, cursor, cap
+            min(len(todo), replay_threads()), replay, todo, cursor, cells
         )
         todo = todo[status[todo] != 0]
-        cap *= 4
+        cells *= 4
     return (
         cycles.tolist(),
         stalls.tolist(),
@@ -1367,7 +1363,6 @@ def _run_python(
         caps = (fxu_cap, lsu_cap, bru_cap)
         reg_ready = [0] * 34
         usages: tuple[dict, dict, dict] = ({}, {}, {})
-        floors = [0, 0, 0]
         window_commits = [0] * window
         wappend = window_commits.append
         dispatch_base = depth
@@ -1406,23 +1401,13 @@ def _run_python(
                 usage = usages[u]
                 cap = caps[u]
                 uget = usage.get
-                floor = floors[u]
-                cycle = wait_dep if wait_dep > floor else floor
+                cycle = wait_dep
                 if o == 1:
                     count = uget(cycle, 0)
                     while count >= cap:
                         cycle += 1
                         count = uget(cycle, 0)
-                    count += 1
-                    usage[cycle] = count
-                    if cycle > wait_dep:
-                        limiter = u + 2
-                    issue = cycle
-                    if count >= cap and cycle == floor:
-                        floor += 1
-                        while uget(floor, 0) >= cap:
-                            floor += 1
-                        floors[u] = floor
+                    usage[cycle] = count + 1
                 else:
                     while True:
                         for k in range(o):
@@ -1433,9 +1418,9 @@ def _run_python(
                             break
                     for k in range(o):
                         usage[cycle + k] = uget(cycle + k, 0) + 1
-                    if cycle > wait_dep:
-                        limiter = u + 2
-                    issue = cycle
+                if cycle > wait_dep:
+                    limiter = u + 2
+                issue = cycle
             a = act[i]
             if a & 8:
                 latency = hit_latency
@@ -1623,6 +1608,8 @@ def simulate_batched(
         raise SimulationError("cannot simulate an empty trace")
     meta = _static_meta(trace) if isinstance(trace, Trace) else None
     if meta is None:
+        from repro.uarch.core import Core
+
         return BatchOutcome(
             [Core(config).simulate(trace, interval_size)
              for config in configs],

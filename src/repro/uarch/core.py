@@ -27,7 +27,6 @@ committing instruction, giving the CPI stack that Table I's
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
 from repro.guards import guards_enabled
@@ -43,9 +42,10 @@ from repro.isa.trace import (
 )
 from repro.uarch.branch_predictor import GsharePredictor
 from repro.uarch.btac import Btac, BtacStats
-from repro.uarch.cache import WORD_BYTES, CacheStats, L1DCache
+from repro.uarch.cache import WORD_BYTES, L1DCache
 from repro.uarch.config import CoreConfig
 from repro.uarch.guards import check_sim_result
+from repro.uarch.result import _LIMITERS, IntervalRecord, SimResult
 
 #: Dense unit indices used by the columnar hot loop.
 _FXU = UNIT_INDEX[Unit.FXU]
@@ -53,125 +53,10 @@ _LSU = UNIT_INDEX[Unit.LSU]
 _BRU = UNIT_INDEX[Unit.BRU]
 _NONE = UNIT_INDEX[Unit.NONE]
 
-#: Stall-limiter codes (columnar loop) and their attribution keys.
-_LIMITERS = ("fetch", "dep", "fxu", "lsu", "bru", "cache")
+#: Stall-limiter codes of the columnar loop (keys: ``_LIMITERS``).
 _L_FETCH, _L_DEP, _L_CACHE = 0, 1, 5
 #: Unit index -> limiter code (fxu/lsu/bru structural stalls).
 _UNIT_LIMITER = (2, 3, 4)
-
-
-def columnar_supported(static) -> bool:
-    """Whether the packed per-event meta encoding covers ``static``.
-
-    The columnar hot loop (and the batched replay built on the same
-    encoding in :mod:`repro.uarch.batched`) pads every source tuple to
-    exactly three slots; the mini-ISA never reads more than three GPRs,
-    but a hand-built static table could, and such tables must take the
-    object-path golden reference instead.
-    """
-    return all(len(srcs) <= 3 for srcs in static.srcs)
-
-
-@dataclass
-class IntervalRecord:
-    """Per-interval statistics for time-series plots (Figure 2)."""
-
-    start_instruction: int
-    instructions: int
-    cycles: int
-    branches: int
-    direction_mispredictions: int
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def mispredict_rate(self) -> float:
-        if self.branches == 0:
-            return 0.0
-        return self.direction_mispredictions / self.branches
-
-
-@dataclass
-class SimResult:
-    """Aggregate outcome of one simulation."""
-
-    instructions: int = 0
-    cycles: int = 0
-    branches: int = 0
-    conditional_branches: int = 0
-    taken_branches: int = 0
-    direction_mispredictions: int = 0
-    target_mispredictions: int = 0
-    taken_bubbles: int = 0
-    loads: int = 0
-    stores: int = 0
-    load_misses: int = 0
-    fxu_ops: int = 0
-    stall_cycles: dict[str, int] = field(default_factory=dict)
-    cache: CacheStats = field(default_factory=CacheStats)
-    btac: BtacStats | None = None
-    intervals: list[IntervalRecord] = field(default_factory=list)
-
-    @property
-    def ipc(self) -> float:
-        return self.instructions / self.cycles if self.cycles else 0.0
-
-    @property
-    def branch_mispredict_rate(self) -> float:
-        """Mispredicted branches / all branches (Table II column 2)."""
-        if self.branches == 0:
-            return 0.0
-        return (
-            self.direction_mispredictions + self.target_mispredictions
-        ) / self.branches
-
-    @property
-    def direction_share(self) -> float:
-        """Fraction of mispredictions due to wrong direction (Table I)."""
-        total = self.direction_mispredictions + self.target_mispredictions
-        if total == 0:
-            return 0.0
-        return self.direction_mispredictions / total
-
-    @property
-    def branch_fraction(self) -> float:
-        """Branches / instructions (Table II column 1)."""
-        if self.instructions == 0:
-            return 0.0
-        return self.branches / self.instructions
-
-    @property
-    def taken_fraction(self) -> float:
-        """Taken branches / branches (Table II column 3)."""
-        if self.branches == 0:
-            return 0.0
-        return self.taken_branches / self.branches
-
-    @property
-    def fxu_stall_fraction(self) -> float:
-        """FXU-attributed commit-stall cycles / total cycles (Table I)."""
-        if self.cycles == 0:
-            return 0.0
-        return self.stall_cycles.get("fxu", 0) / self.cycles
-
-    def cpi_stack(self) -> dict[str, float]:
-        """Cycle-share attribution ("CPI stack").
-
-        Returns each limiter's share of total cycles plus a ``busy``
-        component for cycles in which commit proceeded without a gap;
-        the shares sum to 1.0.
-        """
-        if self.cycles == 0:
-            return {"busy": 0.0}
-        stack = {
-            key: value / self.cycles
-            for key, value in self.stall_cycles.items()
-            if value > 0
-        }
-        stack["busy"] = max(0.0, 1.0 - sum(stack.values()))
-        return stack
 
 
 class Core:
@@ -474,6 +359,8 @@ class Core:
         matrix that pins this method to the object path covers the
         segment machinery too.
         """
+        from repro.uarch.batched import columnar_supported
+
         if not columnar_supported(trace.static):
             # The ISA never reads more than three GPRs (STX), but a
             # hand-built table could; fall back to the golden path.
@@ -502,6 +389,8 @@ class Core:
         before the next is pulled from the iterator, and carried state
         is compacted at every boundary.
         """
+        from repro.uarch.batched import columnar_supported
+
         state = _StreamState(self.config)
         for segment in segments:
             if not isinstance(segment, Trace):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
-from repro.uarch.core import SimResult
+from repro.uarch.result import SimResult
 
 #: Counter-group definitions: name -> six (event name, extractor) pairs.
 _GROUPS: dict[str, list[str]] = {

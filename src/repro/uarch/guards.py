@@ -1,4 +1,4 @@
-"""Counter-consistency invariants for :class:`~repro.uarch.core.SimResult`.
+"""Counter-consistency invariants for :class:`~repro.uarch.result.SimResult`.
 
 A timing-model bug rarely crashes — it produces *numbers that cannot
 be*: more mispredicted branches than branches, more committed loads
@@ -28,7 +28,7 @@ from repro.errors import GuardError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.uarch.config import CoreConfig
-    from repro.uarch.core import SimResult
+    from repro.uarch.result import SimResult
 
 #: Every plain counter that must be non-negative.
 _COUNTERS = (

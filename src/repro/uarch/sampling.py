@@ -16,11 +16,15 @@ and resetting the core's statistics after each warm segment.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.isa.trace import F_BRANCH, F_COND, F_TAKEN, NO_VALUE, Trace, TraceEvent
 from repro.uarch.config import CoreConfig
-from repro.uarch.core import Core, SimResult
+from repro.uarch.result import SimResult
+
+if TYPE_CHECKING:
+    from repro.uarch.core import Core
 
 
 @dataclass(frozen=True)
@@ -170,6 +174,8 @@ def simulate_sampled(
     """
     if len(trace) == 0:
         raise SimulationError("cannot simulate an empty trace")
+    from repro.uarch.core import Core
+
     plan = plan or SamplingPlan()
     core = Core(config)
     results: list[SimResult] = []

@@ -10,9 +10,11 @@ record per point, per-point (never batch-level) failures.
 import pytest
 
 from repro.engine import engine as engine_module
-from repro.engine import scheduler
+from repro.engine import journal as journal_module
+from repro.engine import scheduler, serialize
+from repro.engine.digest import point_key, result_payload_digest
 from repro.engine.engine import Engine
-from repro.engine.journal import load_run
+from repro.engine.journal import RunJournal, load_run
 from repro.engine.scheduler import (
     _result_digest,
     _units,
@@ -298,6 +300,106 @@ class TestCacheAndJournal:
         assert state.complete
         counters = batch_counters(state.counters)
         assert counters["batch.groups"] == counters["batch.points"] == 3
+
+
+class TestJournalAppends:
+    """A unit's points are journaled in one append and one fsync, with
+    digests taken from the payload each result was stored as or loaded
+    from: a result is serialised once, when it is computed."""
+
+    @pytest.fixture
+    def appends(self, monkeypatch):
+        """The record kinds of each journal append, and the fsyncs."""
+        calls: list[list[str]] = []
+        fsyncs: list[int] = []
+        append = RunJournal._append
+
+        def recording(journal, *payloads):
+            calls.append([payload["record"] for payload in payloads])
+            return append(journal, *payloads)
+
+        def fsync(fd):
+            fsyncs.append(fd)
+
+        monkeypatch.setattr(RunJournal, "_append", recording)
+        monkeypatch.setattr(journal_module.os, "fsync", fsync)
+        return calls, fsyncs
+
+    @pytest.fixture
+    def serialised(self, monkeypatch):
+        """How often a characterisation is serialised."""
+        calls: list[int] = []
+        original = serialize.characterisation_to_dict
+
+        def counting(result):
+            calls.append(1)
+            return original(result)
+
+        monkeypatch.setattr(serialize, "characterisation_to_dict", counting)
+        return calls
+
+    def _journaled(self, engine, run_id):
+        return load_run(engine.cache.root, run_id).done
+
+    def test_computed_disk_and_memo_points(self, fresh_engine, appends,
+                                           serialised):
+        calls, fsyncs = appends
+        points = _points()
+        keys = [point_key(*point) for point in points]
+        results = fresh_engine.characterize_many(
+            points, jobs=1, run_id="cold"
+        )
+        # Computed: serialised once each, for the store.
+        assert len(serialised) == 3
+        assert [kinds for kinds in calls if "point_done" in kinds] == [
+            ["point_done"] * 3
+        ]
+        # One fsync per append that wrote anything.
+        assert len(fsyncs) == len([kinds for kinds in calls if kinds])
+        expected = dict(zip(keys, _digests(results)))
+        assert self._journaled(fresh_engine, "cold") == expected
+        for key in keys:
+            payload = fresh_engine.cache.load_result_payload(*key)
+            assert result_payload_digest(payload) == expected[key]
+
+        # Disk hits: digested from the loaded payloads, not re-serialised.
+        calls.clear()
+        serialised.clear()
+        rerun = Engine(cache_dir=fresh_engine.cache.root)
+        rerun.characterize_many(points, jobs=1, run_id="warm")
+        assert serialised == []
+        assert self._journaled(rerun, "warm") == expected
+        assert [kinds for kinds in calls if "point_done" in kinds] == [
+            ["point_done"] * 3
+        ]
+
+        # Memo hits reuse the digests recorded when they were served;
+        # only the new point is serialised.
+        calls.clear()
+        serialised.clear()
+        more = points + [(APP, "baseline", power5().with_fxus(5))]
+        rerun.characterize_many(more, jobs=1, run_id="memo")
+        assert len(serialised) == 1
+        done = self._journaled(rerun, "memo")
+        assert {key: done[key] for key in keys} == expected
+        assert [kinds for kinds in calls if "point_done" in kinds] == [
+            ["point_done"] * 3, ["point_done"],
+        ]
+
+    def test_pool_workers_send_their_digests(self, fresh_engine,
+                                             serialised):
+        """A pool unit's results come back with the digests the worker
+        stored them under; the parent journals those, serialising
+        nothing."""
+        points = _two_groups()
+        results = fresh_engine.characterize_many(
+            points, jobs=2, run_id="pool"
+        )
+        assert serialised == []  # the workers' calls are not counted
+        keys = [point_key(*point) for point in points]
+        assert self._journaled(fresh_engine, "pool") == dict(
+            zip(keys, _digests(results))
+        )
 
 
 class TestBatchFailureExplodes:

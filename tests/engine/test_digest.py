@@ -43,7 +43,7 @@ EQUAL_PAIRS = (
 
 @pytest.fixture
 def empty_memo(monkeypatch):
-    monkeypatch.setattr(digest_module, "_config_digests", {})
+    monkeypatch.setattr(digest_module, "_config_forms", {})
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -67,8 +67,8 @@ def test_equal_configs_keep_their_own_digests(empty_memo, pair, reverse):
 
 
 def test_memo_is_bounded(empty_memo, monkeypatch):
-    monkeypatch.setattr(digest_module, "_CONFIG_DIGESTS_MAX", 2)
+    monkeypatch.setattr(digest_module, "_CONFIG_FORMS_MAX", 2)
     for name in sorted(PINNED):
         config, expected = PINNED[name]
         assert config_digest(config) == expected
-        assert len(digest_module._config_digests) <= 2
+        assert len(digest_module._config_forms) <= 2

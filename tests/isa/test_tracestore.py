@@ -9,6 +9,7 @@ import pytest
 from repro.bio.scoring import BLOSUM62, GapPenalties
 from repro.bio.workloads import make_family
 from repro.errors import InterpreterError
+from repro.isa.instructions import Instruction, Op
 from repro.isa.trace import Trace, TraceEvent
 from repro.isa.tracestore import (
     _FOOTER_V3,
@@ -31,6 +32,40 @@ def trace():
     sw.run("baseline", family[0], family[1], BLOSUM62,
            GapPenalties(10, 2), trace=events)
     return events
+
+
+def _reseal_last_sid(path, value) -> int:
+    """Set the last event's static id of a one-frame v3 file to
+    ``value`` (``"statics"``: the table size), re-deflating the frame
+    and re-sealing its CRC, the index and the footer digest; returns
+    the static count."""
+    blob = path.read_bytes()
+    (
+        events, index_offset, static_offset, static_len, statics,
+        n_segments, _, end,
+    ) = _FOOTER_V3.unpack(blob[-_FOOTER_V3.size:])
+    assert n_segments == 1
+    offset, frame_events, comp_len, _ = _INDEX_V3.unpack_from(
+        blob, index_offset
+    )
+    payload = bytearray(zlib.decompress(blob[offset : offset + comp_len]))
+    sid_end = 12 * frame_events  # pc (8 bytes) then sid (4) per event
+    struct.pack_into(
+        "<i", payload, sid_end - 4, statics if value == "statics" else value
+    )
+    frame = zlib.compress(bytes(payload))
+    static_blob = blob[static_offset : static_offset + static_len]
+    new_static_offset = offset + len(frame)
+    index = _INDEX_V3.pack(offset, frame_events, len(frame), zlib.crc32(frame))
+    digest = hashlib.sha256()
+    digest.update(struct.pack("<I", zlib.crc32(frame)))
+    digest.update(struct.pack("<I", zlib.crc32(static_blob)))
+    footer = _FOOTER_V3.pack(
+        events, new_static_offset + len(static_blob), new_static_offset,
+        len(static_blob), statics, 1, digest.digest(), end,
+    )
+    path.write_bytes(blob[:offset] + frame + static_blob + index + footer)
+    return statics
 
 
 class TestRoundtrip:
@@ -173,6 +208,35 @@ class TestV3Errors:
         v3_path.write_bytes(blob[:static_offset] + sealed + index + footer)
         with pytest.raises(InterpreterError, match="corrupt v3 static"):
             load_trace_columnar(v3_path)
+
+    @pytest.mark.parametrize("bad", ("statics", -1))
+    def test_static_id_out_of_range(self, trace, tmp_path, bad):
+        """A frame whose last static id is ``statics`` (one past the
+        table) or negative, re-sealed so every CRC and the content
+        digest check out: only the id check can reject it."""
+        path = tmp_path / "one-frame.trace3"
+        save_trace_v3(path, Trace.from_events(trace))
+        statics = _reseal_last_sid(path, bad)
+        with pytest.raises(InterpreterError, match="static id out of range"):
+            load_trace_columnar(path)
+        # The untouched ids still decode: the check is exactly the range.
+        _reseal_last_sid(path, statics - 1)
+        assert len(load_trace_columnar(path)) == len(trace)
+
+    def test_static_id_check_beyond_one_byte(self, tmp_path):
+        """A table of 300 statics (distinct register pairs): ids up to
+        299 pass, 300 does not."""
+        trace = Trace()
+        for k in range(300):
+            instruction = Instruction(Op.ADDI, rd=k % 32, ra=k // 32, imm=1)
+            trace.append(k, instruction, False, k + 1, None)
+        path = tmp_path / "wide.trace3"
+        save_trace_v3(path, trace)
+        loaded = load_trace_columnar(path)
+        assert len(loaded.static) == 300 and max(loaded.sid) == 299
+        _reseal_last_sid(path, "statics")
+        with pytest.raises(InterpreterError, match="static id out of range"):
+            load_trace_columnar(path)
 
     def test_truncated_mid_frames(self, v3_path):
         blob = v3_path.read_bytes()

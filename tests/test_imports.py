@@ -1,8 +1,8 @@
 """A warm rerun loads only what it reads.
 
 Reading every result from the cache needs neither numpy nor the
-compiler, the kernels, the interpreter, the substitution matrices nor a
-process pool. The package ``__init__``\\ s re-export lazily
+compiler, the kernels, the interpreter, the scalar core, the
+substitution matrices nor a process pool. The package ``__init__``\\ s re-export lazily
 (:func:`repro.lazy.lazy_exports`) and cold-path imports sit in the
 functions that compute, so importing the experiments entry point, the
 engine or the command line loads none of them. Each check runs in a
@@ -26,6 +26,7 @@ BUDGET = (
     "repro.compiler",
     "repro.kernels",
     "repro.isa.interpreter",
+    "repro.uarch.core",
     "repro.bio.scoring",
     "multiprocessing",
     "concurrent.futures",

@@ -5,10 +5,14 @@ several threads, each with its own bounded scratch. Every item writes
 only its own output rows, so the thread count must never show in a
 result: these tests compare whole serialised :class:`SimResult`\\ s,
 interval records included, for one thread against several, and pin
-the per-config lane-overflow path (retry at a larger capacity, then
-the Python replay) against ``REPRO_NATIVE=off``.
+the per-config lane-overflow path (retry in a larger ring, then the
+Python replay) against ``REPRO_NATIVE=off``. The usage lanes are rings
+recycled as dispatch advances: a thread's scratch depends on the
+configs only, and recycled or out-of-window cells must never show in
+a result.
 """
 
+import random
 import threading
 from dataclasses import replace
 
@@ -19,7 +23,7 @@ from repro.isa.instructions import Instruction, Op
 from repro.isa.trace import Trace
 from repro.kernels.runtime import ALL_VARIANTS
 from repro.uarch import batched
-from repro.uarch.config import power5
+from repro.uarch.config import BtacConfig, power5
 from repro.uarch.synthetic import MixProfile, generate_trace
 from tests.uarch.test_golden_equality import CONFIGS, KERNELS, _traces
 
@@ -149,18 +153,35 @@ def _with_miss_penalty(penalty: int):
 
 
 class TestLaneOverflow:
-    """Four configs of one frontend group: two stay within the initial
-    lane capacity, one overflows it and retries natively, and one
-    overflows the retry too and replays in Python. The others' results,
-    intervals included, must not notice."""
+    """Four configs of one frontend group. A chain of 24 dependent
+    misses of P cycles keeps about 24 * (P + 10) cycles of usage lanes
+    live ahead of dispatch, so penalty 0 and 100 fit the initial ring
+    of 4,096 cells, 300 overflows it and retries in a ring four times
+    larger, and 1,000 overflows that too and replays in Python. The
+    others' results, intervals included, must not notice."""
 
     @pytest.mark.parametrize("threads", (1, 2, 3))
     def test_retry_and_fallback_match_python(self, replay, python_rows,
                                              monkeypatch, threads):
         trace = _chain_trace(1_500)
-        configs = [_with_miss_penalty(p) for p in (0, 40, 100, 5)]
+        configs = [_with_miss_penalty(p) for p in (0, 300, 1_000, 100)]
+        attempts: list[int] = []
+        original = batched._scratch
+
+        def recording(window, cells):
+            attempts.append(cells)
+            return original(window, cells)
+
+        monkeypatch.setattr(batched, "_scratch", recording)
         native = replay(trace, configs, threads, interval_size=500)
         assert python_rows == [batched._config_params(configs[2])]
+        # Each thread of the first call allocates the initial ring; the
+        # retry takes only the two overflowing configs.
+        first = min(len(configs), threads)
+        assert attempts == (
+            [batched._RING_CELLS] * first
+            + [4 * batched._RING_CELLS] * min(2, threads)
+        )
 
         monkeypatch.setenv("REPRO_NATIVE", "off")
         assert native == [
@@ -169,11 +190,6 @@ class TestLaneOverflow:
                 trace, configs, interval_size=500
             ).results
         ]
-        cap = batched._lane_cap(len(trace))
-        cycles = [result["cycles"] for result in native]
-        assert max(cycles[0], cycles[3]) < cap - 200
-        assert cap + 200 < cycles[1] < 4 * cap - 200
-        assert cycles[2] > 4 * cap + 200
 
     def test_unit_count_beyond_int32_replays_in_python(
         self, replay, python_rows, monkeypatch
@@ -208,4 +224,116 @@ class TestLaneOverflow:
         assert native == [
             result_to_dict(result)
             for result in batched.simulate_batched(trace, configs).results
+        ]
+
+
+# --------------------------------------------------------------------
+# The usage-lane ring: scratch sized by the configs, recycled cells.
+# --------------------------------------------------------------------
+
+
+def _booked_trace(op: Op, ops: int) -> Trace:
+    """Independent ops on the FXU: with one FXU and a window wider than
+    the trace, every op books the next free cycle while dispatch moves
+    one cycle per fetch group, so the booked lane runs ever further
+    ahead of dispatch and every cell between them is full."""
+    trace = Trace()
+    instruction = Instruction(op, rd=5, ra=0, imm=3)
+    for k in range(ops):
+        trace.append(k, instruction, False, k + 1, None)
+    return trace
+
+
+def _random_config(rng: random.Random):
+    config = power5()
+    btac = (
+        None if rng.random() < 0.5
+        else BtacConfig(wrong_target_penalty=rng.randint(0, 12))
+    )
+    return replace(
+        config,
+        fetch_width=rng.randint(1, 8),
+        commit_width=rng.randint(1, 8),
+        pipeline_depth=rng.randint(1, 30),
+        window=rng.randint(1, 160),
+        fxu_count=rng.randint(1, 4),
+        lsu_count=rng.randint(1, 3),
+        bru_count=rng.randint(1, 2),
+        taken_branch_penalty=rng.randint(0, 10),
+        btac=btac,
+        cache=replace(
+            config.cache,
+            hit_latency=rng.randint(0, 6),
+            miss_penalty=rng.randint(0, 150),
+        ),
+    )
+
+
+class TestRing:
+    def test_scratch_depends_only_on_the_configs(self, replay, monkeypatch):
+        """A replay thread's scratch is the same for 10k events as for
+        1M: the commit-window ring and three int32 lanes of the initial
+        ring, 48 KB, whatever the trace's length."""
+        sizes: list[int] = []
+        original = batched._scratch
+
+        def recording(window, cells):
+            ring, lanes = original(window, cells)
+            sizes.append(ring.nbytes + lanes.nbytes)
+            return ring, lanes
+
+        monkeypatch.setattr(batched, "_scratch", recording)
+        short = generate_trace(10_000, MixProfile(), seed=11)
+        long = Trace()
+        for _ in range(100):
+            long.extend(short)
+        configs = [power5(), power5().with_fxus(4)]
+        for trace in (short, long):
+            replay(trace, configs, threads=2)
+        assert len(long) == 1_000_000
+        assert sizes == [8 * power5().window + 12 * batched._RING_CELLS] * 4
+
+    @pytest.mark.parametrize(
+        "op,ops,cycles_per_op",
+        [(Op.ADDI, 6_000, 1), (Op.MULI, 1_500, 5)],
+        ids=["pipelined", "non-pipelined"],
+    )
+    def test_booked_lane_retries_in_a_larger_ring(self, replay, op, ops,
+                                                  cycles_per_op):
+        """The FXU lane books past the initial ring while every cell up
+        to its end is full, so only a window check inside the free-slot
+        scan ends it: without one the scan wraps onto live cells and
+        never stops. The retry's ring holds the trace, and the cycles
+        are exact: one op per FXU occupancy from the first dispatch
+        cycle (16), plus one for the last commit."""
+        trace = _booked_trace(op, ops)
+        config = replace(power5(), window=8_192, fxu_count=1)
+        results: list = []
+        worker = threading.Thread(
+            target=lambda: results.append(replay(trace, [config], 1)),
+            daemon=True,
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "the replay kernel did not return"
+        assert results[0][0]["cycles"] == cycles_per_op * ops + 17
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_timing_matches_python(self, replay, monkeypatch, seed):
+        """Random penalties, latencies, widths and unit counts over a
+        trace many rings long: the recycled lanes give exactly what the
+        Python replay's unbounded dicts give."""
+        rng = random.Random(seed)
+        trace = generate_trace(20_000, MixProfile(), seed=100 + seed)
+        configs = [_random_config(rng) for _ in range(6)]
+        native = replay(trace, configs, threads=2, interval_size=2_000)
+        assert max(result["cycles"] for result in native) > (
+            2 * batched._RING_CELLS
+        )
+        monkeypatch.setenv("REPRO_NATIVE", "off")
+        assert native == [
+            result_to_dict(result)
+            for result in batched.simulate_batched(
+                trace, configs, interval_size=2_000
+            ).results
         ]
